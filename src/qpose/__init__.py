@@ -14,6 +14,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# Thread-count variables of the BLAS / OpenMP runtimes numpy may load.
+# `--deterministic` pins each to 1; run metadata records their values.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 _SUBMODULES = (
     "statevector",
     "quantum_classifier",

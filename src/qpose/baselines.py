@@ -13,6 +13,10 @@ import numpy as np
 
 from .data import FeatureNormalizer, N_CLASSES, features_matrix, labels_vector
 
+# Query rows per distance block: bounds the (rows, references, features)
+# difference temporary instead of letting it grow with the query count.
+_QUERY_CHUNK = 256
+
 
 @dataclass(eq=False)
 class KnnModel:
@@ -46,8 +50,11 @@ class KnnModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z = self.normalizer.transform(x)
-        d2 = ((z[:, None, :] - self.features[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        nearest = np.empty((z.shape[0], self.k), dtype=np.intp)
+        for lo in range(0, z.shape[0], _QUERY_CHUNK):
+            block = z[lo : lo + _QUERY_CHUNK]
+            d2 = ((block[:, None, :] - self.features[None, :, :]) ** 2).sum(axis=2)
+            nearest[lo : lo + _QUERY_CHUNK] = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = self.labels[nearest]
         scores = np.zeros((x.shape[0], N_CLASSES))
         for c in range(N_CLASSES):

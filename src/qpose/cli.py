@@ -26,14 +26,16 @@ import os
 import sys
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS
+
 OUT_DIR_ENV = "QPOSE_OUT_DIR"
 
 
 def _force_single_thread() -> None:
-    # must happen before numpy is first imported anywhere in the process
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, "1")
+    # must happen before numpy is first imported anywhere in the process;
+    # overrides exported values so the flag always means one thread
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
 
 
 def _out_dir(args) -> Path:

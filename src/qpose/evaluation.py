@@ -90,11 +90,16 @@ def binary_roc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Report from per-class scores (N, 8) and integer labels (N,)."""
+    """Report from per-class scores (N, 8) and integer labels (N,).
+
+    Non-finite scores raise ValueError rather than ranking as some class.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 2 or scores.shape[1] != N_CLASSES:
         raise ValueError(f"scores must be (n, {N_CLASSES})")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     n = scores.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate an empty sample set")

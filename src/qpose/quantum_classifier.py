@@ -8,15 +8,24 @@ carries exactly 2(n-1)L trainable angles.
 
 Gradients of the quantum block use the parameter-shift rule: for any RY
 angle phi, d<Z>/dphi = (<Z>(phi + pi/2) - <Z>(phi - pi/2)) / 2, which is
-exact (not a finite-difference approximation). One gradient call therefore
-costs exactly 2 * (2(n-1)L + n) circuit evaluations; a module-level counter
-tracks this so tests can pin the cost down.
+exact (not a finite-difference approximation). A sample's full gradient
+takes its base circuit plus two shifted circuits per angle slot, 1 + 2K
+circuit evaluations for K = 2(n-1)L + n slots (57 at n=10, L=1; 37 when
+only the ansatz angles train); a module-level counter tracks this so tests
+can pin the cost down.
+
+The shifted circuits are not re-simulated from |0...0>. A circuit shifted
+at slot j matches the base circuit up to j's RY gate, so `z_from_angles`
+runs all 1 + 2K circuits of a sample in one staircase sweep over the gates:
+the shifted pair forks off the base state at its own gate and only the
+remaining gates run on it. Every circuit is still evaluated and counted;
+the sweep only skips recomputing their shared prefixes.
 
 Implementation note: RY and CZ have real matrices and the start state
 |0...0> is real, so every statevector this module touches is real. The
-kernels run on float64 buffers, batching many parameter-shifted circuits
-(and many samples) as rows of one array; results are identical to the
-complex-valued reference simulator in `statevector`.
+kernels run on float64 buffers, batching many circuits (and many samples)
+as rows of one array; results match the complex-valued reference
+simulator in `statevector`.
 """
 
 from __future__ import annotations
@@ -104,30 +113,81 @@ class StdAnsatz:
 _ROW_CHUNK = 32
 
 
-def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray) -> np.ndarray:
+def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool = True):
     """Per-qubit Z expectations of the dressed circuit.
 
     angles: (rows, n_qubits + n_theta) with encoding angles first, or a
     single flat vector. Each row is one independent circuit evaluation.
+
+    Without ``slots`` this returns the (rows, n_qubits) expectations. With a
+    sequence of K distinct angle slots it also evaluates, for every row and
+    every listed slot, the two circuits with that angle shifted by +pi/2 and
+    -pi/2, and returns ``(z, z_plus, z_minus)``: z is (rows, n_qubits), or
+    None when ``base`` is False, and z_plus / z_minus are (rows, K,
+    n_qubits) in the order of ``slots``. Each evaluated circuit counts once
+    toward `evaluation_count`, so a row costs 2K, plus 1 with ``base``.
     """
     global _eval_count
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
     rows = angles.shape[0]
     if angles.shape[1] != ansatz.n_slots:
         raise ValueError(f"expected {ansatz.n_slots} angles per row, got {angles.shape[1]}")
+    shifted = [] if slots is None else [int(j) for j in slots]
+    if len(set(shifted)) != len(shifted) or not all(0 <= j < ansatz.n_slots for j in shifted):
+        raise ValueError(f"slots must be distinct angle slots in 0..{ansatz.n_slots - 1}")
+    if slots is None and not base:
+        raise ValueError("base=False needs shifted slots to evaluate")
+    z, z_plus, z_minus = _staircase_sweep(ansatz, angles, shifted, base)
+    _eval_count += rows * (2 * len(shifted) + int(base))
+    if slots is None:
+        return z
+    return z, z_plus, z_minus
+
+
+def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int], base: bool):
+    """Evaluate the base circuit and its +-pi/2 shifts at ``slots`` in one
+    pass over the gates.
+
+    A circuit shifted at slot j equals the base circuit up to j's RY gate,
+    so the shifted pair is copied from the base rows right there and only
+    the remaining gates run on it. Rows are laid out slot-major in gate
+    order, (1 + 2K) blocks of one row per sample, which keeps the rows
+    that are live at any gate a leading slice of the buffer. Chunks hold as
+    many samples as fit `_ROW_CHUNK` rows, at least one.
+    """
+    n = ansatz.n_qubits
     ops = ansatz.dressed_ops()
-    out = np.empty((rows, ansatz.n_qubits))
-    for lo in range(0, rows, _ROW_CHUNK):
-        chunk = angles[lo : lo + _ROW_CHUNK]
-        amps = zero_states(ansatz.n_qubits, batch=chunk.shape[0], dtype=np.float64)
-        for op in ops:
-            if op.kind is GateKind.RY:
-                ry_rows(amps, op.target, chunk[:, op.angle_slot])
-            else:
-                cz_rows(amps, op.control, op.target)
-        out[lo : lo + _ROW_CHUNK] = z_expectations_rows(amps)
-    _eval_count += rows
-    return out
+    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
+    order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
+    opens = {gate_of[j] for j in slots}
+    blocks = 1 + 2 * len(slots)
+    rows = angles.shape[0]
+    out = np.empty((blocks, rows, n))
+    per_chunk = max(1, _ROW_CHUNK // blocks)
+    first = 0 if base else 1
+    for lo in range(0, rows, per_chunk):
+        chunk = angles[lo : lo + per_chunk]
+        s = chunk.shape[0]
+        amps = zero_states(n, batch=blocks * s, dtype=np.float64)
+        live = s
+        for g, op in enumerate(ops):
+            if op.kind is GateKind.CZ:
+                cz_rows(amps[:live], op.control, op.target)
+                continue
+            column = chunk[:, op.angle_slot]
+            theta = np.tile(column, live // s)
+            if g in opens:
+                amps[live : live + 2 * s].reshape(2, s, -1)[:] = amps[:s]
+                theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
+                live += 2 * s
+            ry_rows(amps[:live], op.target, theta)
+        z = z_expectations_rows(amps[first * s :])
+        out[first:, lo : lo + s] = z.reshape(blocks - first, s, n)
+    # blocks are in gate order; hand the shifts back in the caller's order
+    rank = np.argsort(order)
+    z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
+    z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
+    return (out[0] if base else None), z_plus, z_minus
 
 
 @dataclass(eq=False)
@@ -212,31 +272,6 @@ def qnn_forward(model: DressedQnnModel, x: np.ndarray) -> np.ndarray:
     return model.logits(x)[0]
 
 
-def _shifted_angle_rows(base: np.ndarray, slots) -> np.ndarray:
-    """For each base row and each slot j, two rows with slot j shifted by
-    +pi/2 and -pi/2. Output shape (B * 2K, n_slots), sample-major."""
-    b, s = base.shape
-    k = len(slots)
-    rows = np.repeat(base, 2 * k, axis=0).reshape(b, 2 * k, s)
-    for i, j in enumerate(slots):
-        rows[:, 2 * i, j] += np.pi / 2
-        rows[:, 2 * i + 1, j] -= np.pi / 2
-    return rows.reshape(b * 2 * k, s)
-
-
-def _shift_gradients(model: DressedQnnModel, base: np.ndarray, slots) -> np.ndarray:
-    """d<Z_q>/d(angle_slot) by the parameter-shift rule.
-
-    base: (B, n_slots) unshifted angle rows. Returns (B, K, n_qubits) for
-    the K requested slots.
-    """
-    b = base.shape[0]
-    k = len(slots)
-    z = z_from_angles(model.ansatz, _shifted_angle_rows(base, slots))
-    z = z.reshape(b, k, 2, model.ansatz.n_qubits)
-    return (z[:, :, 0, :] - z[:, :, 1, :]) / 2.0
-
-
 def param_shift_grad(model: DressedQnnModel, x: np.ndarray, upstream: np.ndarray):
     """Gradients of upstream . logits over theta and the encoding angles.
 
@@ -249,8 +284,10 @@ def param_shift_grad(model: DressedQnnModel, x: np.ndarray, upstream: np.ndarray
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (model.params["out.b"].size,):
         raise ValueError(f"upstream must have shape {model.params['out.b'].shape}")
-    base = model._angle_rows(model.encoding_angles(x))
-    dz = _shift_gradients(model, base, range(model.ansatz.n_slots))[0]
+    rows = model._angle_rows(model.encoding_angles(x))
+    _, z_plus, z_minus = z_from_angles(model.ansatz, rows, slots=range(model.ansatz.n_slots),
+                                       base=False)
+    dz = (z_plus[0] - z_minus[0]) / 2.0
     upstream_z = model.params["out.w"] @ upstream
     grad = dz @ upstream_z
     n = model.ansatz.n_qubits
@@ -269,9 +306,15 @@ def qnn_loss_and_grad_batch(model: DressedQnnModel, x, labels, needed=None):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
 
-    encoding = model.encoding_angles(x)
-    base = model._angle_rows(encoding)
-    z = z_from_angles(model.ansatz, base)
+    slots: list[int] = []
+    want_encoding = "in.w" in names or "in.b" in names
+    if want_encoding:
+        slots.extend(range(n))
+    want_theta = "theta" in names
+    if want_theta:
+        slots.extend(range(n, model.ansatz.n_slots))
+    rows = model._angle_rows(model.encoding_angles(x))
+    z, z_plus, z_minus = z_from_angles(model.ansatz, rows, slots=slots)
     logits = z @ model.params["out.w"] + model.params["out.b"]
     loss, grad_logits = softmax_cross_entropy(logits, labels)
 
@@ -282,15 +325,8 @@ def qnn_loss_and_grad_batch(model: DressedQnnModel, x, labels, needed=None):
         grads["out.b"] = grad_logits.sum(axis=0)
 
     upstream_z = grad_logits @ model.params["out.w"].T
-    slots: list[int] = []
-    want_encoding = "in.w" in names or "in.b" in names
-    if want_encoding:
-        slots.extend(range(n))
-    want_theta = "theta" in names
-    if want_theta:
-        slots.extend(range(n, model.ansatz.n_slots))
     if slots:
-        dz = _shift_gradients(model, base, slots)
+        dz = (z_plus - z_minus) / 2.0
         slot_grad = np.einsum("bkq,bq->bk", dz, upstream_z)
         k0 = 0
         if want_encoding:

@@ -9,16 +9,19 @@ One JSON schema covers every model kind:
 JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
 everything needed to reproduce a run: argv-style config, seeds, a SHA-256
-of the dataset's canonical CSV text, and the final metrics.
+of the dataset's canonical CSV text, the BLAS thread variables in effect
+(null when unset), and the final metrics.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .baselines import GnbModel, KnnModel
 from .data import FeatureNormalizer
 from .neural import DnnConfig, DnnModel
@@ -133,6 +136,7 @@ def write_run_metadata(path, *, command: str, config: dict, seed: int,
         "seed": seed,
         "dataset_sha256": dataset_hash,
         "deterministic": deterministic,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "metrics": metrics,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

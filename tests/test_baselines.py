@@ -60,6 +60,20 @@ class TestKnn:
             votes = np.bincount(y_train[order[:3]], minlength=N_CLASSES) / 3
             np.testing.assert_allclose(scores[qi], votes, atol=1e-12)
 
+    def test_chunked_distances_equal_one_shot_formula(self):
+        # more query rows than one distance block, with exact distance ties
+        rng = np.random.default_rng(5)
+        x_train = rng.normal(size=(40, N_FEATURES)).round(1)
+        y_train = rng.integers(0, N_CLASSES, 40)
+        train = [BeamSnrSample(x_train[i], int(y_train[i]), Domain.SOURCE, 0)
+                 for i in range(40)]
+        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=5)
+        queries = np.concatenate([rng.normal(size=(600, N_FEATURES)).round(1), x_train])
+        d2 = ((queries[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+        votes = y_train[np.argsort(d2, axis=1, kind="stable")[:, :5]]
+        expected = np.stack([(votes == c).sum(axis=1) for c in range(N_CLASSES)], axis=1) / 5
+        assert np.array_equal(m.predict_proba(queries), expected)
+
     def test_duplicate_set_vote_scaling(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(12, N_FEATURES))

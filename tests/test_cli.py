@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -16,10 +17,10 @@ def run_cli(argv, out_dir):
     return cli.main([*argv, "--out-dir", str(out_dir)])
 
 
-def run_proc(argv):
+def run_proc(argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qpose", *argv],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
 
 
@@ -253,3 +254,16 @@ class TestHarness:
                 first_checkpoint = checkpoint
         assert summaries[0] == summaries[1]
         assert checkpoint == first_checkpoint
+
+    def test_deterministic_overrides_exported_thread_counts(self, dataset, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "8", "OMP_NUM_THREADS": "4"}
+        threads = {}
+        for flag in ([], ["--deterministic"]):
+            out = tmp_path / f"run{len(flag)}"
+            proc = run_proc(["train", "--seed", "0", *flag, "--data", str(dataset),
+                             "--model", "gnb", "--out-dir", str(out)], env=env)
+            assert proc.returncode == 0, proc.stderr
+            threads[bool(flag)] = json.loads((out / "metadata.json").read_text())["blas_threads"]
+        assert threads[False]["OPENBLAS_NUM_THREADS"] == "8"
+        assert threads[False]["OMP_NUM_THREADS"] == "4"
+        assert set(threads[True].values()) == {"1"}

@@ -170,6 +170,14 @@ class TestEvaluateScores:
         with pytest.raises(ValueError):
             evaluate_scores(np.empty((0, N_CLASSES)), np.empty(0, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        labels = np.arange(20) % N_CLASSES
+        scores = np.eye(N_CLASSES)[labels]
+        scores[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_scores(scores, labels)
+
     def test_evaluate_uses_model_scores(self):
         labels = [0, 1, 2]
         samples = make_samples(labels)

@@ -1,4 +1,5 @@
-"""Dressed QNN: ansatz layout, forward, parameter-shift gradients."""
+"""Dressed QNN: ansatz layout, forward, parameter-shift gradients and the
+shared-prefix sweep that evaluates them."""
 
 import numpy as np
 import pytest
@@ -192,6 +193,76 @@ class TestParamShift:
         m = small_model()
         with pytest.raises(ValueError):
             param_shift_grad(m, np.ones(4), np.ones(3))
+
+
+def explicit_shift_rows(rows, slots):
+    """Oracle layout: for each row and slot j, the row with j shifted by
+    +pi/2 and then by -pi/2, as (B, K, 2, n_slots)."""
+    out = np.repeat(rows[:, None, None, :], len(slots), axis=1).repeat(2, axis=2)
+    for i, j in enumerate(slots):
+        out[:, i, 0, j] += np.pi / 2
+        out[:, i, 1, j] -= np.pi / 2
+    return out
+
+
+class TestStaircaseSweep:
+    @given(
+        n=st.integers(2, 7),
+        layers=st.integers(1, 3),
+        batch=st.sampled_from([1, 3, 33]),
+        which=st.sampled_from(["all", "theta", "encoding"]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_explicit_shifted_rows(self, n, layers, batch, which, data):
+        ansatz = StdAnsatz(n, layers)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rng.uniform(-np.pi, np.pi, (batch, ansatz.n_slots))
+        slots = {
+            "all": range(ansatz.n_slots),
+            "theta": range(n, ansatz.n_slots),
+            "encoding": range(n),
+        }[which]
+        slots = data.draw(st.permutations(list(slots)), label="slots")
+        z, z_plus, z_minus = z_from_angles(ansatz, rows, slots=slots)
+
+        k = len(slots)
+        oracle = z_from_angles(ansatz, explicit_shift_rows(rows, slots).reshape(-1, ansatz.n_slots))
+        oracle = oracle.reshape(batch, k, 2, n)
+        np.testing.assert_allclose(z, z_from_angles(ansatz, rows), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z_plus, oracle[:, :, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z_minus, oracle[:, :, 1], rtol=0, atol=1e-12)
+
+    def test_counts_each_circuit_once(self):
+        ansatz = StdAnsatz(3, 2)
+        rows = np.zeros((4, ansatz.n_slots))
+        reset_evaluation_count()
+        z, z_plus, _ = z_from_angles(ansatz, rows, slots=[5, 0, 2])
+        assert evaluation_count() == 4 * (1 + 2 * 3)
+        assert z.shape == (4, 3) and z_plus.shape == (4, 3, 3)
+        reset_evaluation_count()
+        z, z_plus, z_minus = z_from_angles(ansatz, rows, slots=[1], base=False)
+        assert z is None and z_minus.shape == (4, 1, 3)
+        assert evaluation_count() == 4 * 2
+        reset_evaluation_count()
+
+    def test_slot_validation(self):
+        ansatz = StdAnsatz(2, 1)
+        rows = np.zeros((1, ansatz.n_slots))
+        for bad in ([0, 0], [ansatz.n_slots], [-1]):
+            with pytest.raises(ValueError):
+                z_from_angles(ansatz, rows, slots=bad)
+        with pytest.raises(ValueError):
+            z_from_angles(ansatz, rows, base=False)
+
+    @pytest.mark.parametrize("needed, per_sample", [(None, 57), ({"theta"}, 37)])
+    def test_closed_form_cost_at_default_size(self, needed, per_sample):
+        m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1), seed=2)
+        x = np.random.default_rng(3).normal(size=(3, 36))
+        reset_evaluation_count()
+        m.loss_and_grad(x, np.array([0, 4, 7]), needed=needed)
+        assert evaluation_count() == 3 * per_sample
+        reset_evaluation_count()
 
 
 class TestBackward:

@@ -127,5 +127,9 @@ class TestRunMetadata:
         assert doc["command"] == "train"
         assert doc["seed"] == 11
         assert doc["deterministic"] is True
+        assert set(doc["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+        }
         assert doc["metrics"]["accuracy"] == 0.5
         assert len(doc["dataset_sha256"]) == 64
