@@ -45,10 +45,8 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
 
-    from qpose.data import Domain, FeatureNormalizer, ShiftSpec, generate_synthetic, split_labeled
-    from qpose.neural import DnnModel
-    from qpose.quantum_classifier import DressedQnnModel
-    from qpose.training import TrainConfig, accuracy_of, pretrain
+    from qpose.data import Domain, ShiftSpec, generate_synthetic, split_labeled
+    from qpose.training import TrainConfig, accuracy_of, fit_model
 
     base = ShiftSpec()
     spread = base.feature_gain_spread if args.gain_spread is None else args.gain_spread
@@ -69,19 +67,13 @@ def main(argv=None) -> int:
     dataset = generate_synthetic(args.n_source, args.n_target, spec(0.0))
     split = split_labeled(dataset, Domain.SOURCE, fraction=args.labeled_fraction,
                           seed=args.seed)
-    normalizer = FeatureNormalizer.fit(split.labeled)
 
     models = {}
     for name in names:
-        if name == "dnn":
-            model = DnnModel.create(normalizer, seed=args.seed)
-            epochs = args.dnn_epochs
-        else:
-            model = DressedQnnModel.create(normalizer, seed=args.seed)
-            epochs = args.qnn_epochs
+        epochs = args.dnn_epochs if name == "dnn" else args.qnn_epochs
         print(f"pretraining {name} ({epochs} epochs on "
               f"{len(split.labeled)} labeled source samples)...", flush=True)
-        pretrain(model, split.labeled, TrainConfig(epochs=epochs, seed=args.seed))
+        model, _ = fit_model(name, split.labeled, config=TrainConfig(epochs=epochs, seed=args.seed))
         in_domain = accuracy_of(model, split.evaluation or split.labeled)
         print(f"  {name} in-domain accuracy {in_domain:.4f}")
         models[name] = model

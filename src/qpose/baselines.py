@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureNormalizer, N_CLASSES, features_matrix, labels_vector
+from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, checkpoint_arrays,
+                   features_matrix, labels_vector)
 
 # Query rows per distance block: bounds the (rows, references, features)
 # difference temporary instead of letting it grow with the query count.
@@ -46,6 +47,21 @@ class KnnModel:
             k=k,
             normalizer=normalizer,
         )
+
+    @classmethod
+    def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "KnnModel":
+        arrays = checkpoint_arrays("params", params,
+                                   {"features": (None, N_FEATURES), "labels": (None,)})
+        labels = arrays["labels"]
+        if labels.size != arrays["features"].shape[0]:
+            raise CheckpointError("checkpoint field params.labels does not match params.features")
+        if not np.isin(labels, np.arange(N_CLASSES)).all():
+            raise CheckpointError(f"checkpoint field params.labels outside 0..{N_CLASSES - 1}")
+        return cls(features=arrays["features"], labels=labels.astype(np.int64), k=config["k"],
+                   normalizer=normalizer)
+
+    def checkpoint_sections(self) -> tuple[dict, dict]:
+        return {"k": self.k}, {"features": self.features.tolist(), "labels": self.labels.tolist()}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -110,6 +126,16 @@ class GnbModel:
             variances=np.maximum(variances, floor),
             normalizer=normalizer,
         )
+
+    @classmethod
+    def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "GnbModel":
+        shapes = {"priors": (N_CLASSES,), "means": (N_CLASSES, N_FEATURES),
+                  "variances": (N_CLASSES, N_FEATURES)}
+        return cls(**checkpoint_arrays("params", params, shapes), normalizer=normalizer)
+
+    def checkpoint_sections(self) -> tuple[dict, dict]:
+        params = {"priors": self.priors, "means": self.means, "variances": self.variances}
+        return {}, {k: v.tolist() for k, v in params.items()}
 
     def log_posteriors(self, x: np.ndarray) -> np.ndarray:
         """Unnormalized: log prior + sum_f log N(x_f; mu_cf, var_cf)."""

@@ -14,8 +14,9 @@ metadata document that suffices to re-run it bit-identically. Exit code 0 on
 success; on failure a JSON error document goes to stderr and the exit code
 is nonzero. --out-dir defaults to $QPOSE_OUT_DIR or ./qpose_out.
 
-Heavy imports stay inside the handlers so --deterministic can pin the BLAS
-thread count before numpy loads.
+Heavy imports stay inside functions so --deterministic can pin the BLAS
+thread count before numpy loads. Called in a process that has already loaded
+numpy, it warns on stderr and leaves the thread variables as they are.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ OUT_DIR_ENV = "QPOSE_OUT_DIR"
 
 
 def _force_single_thread() -> None:
-    # must happen before numpy is first imported anywhere in the process;
-    # overrides exported values so the flag always means one thread
+    # overrides exported values so the flag always means one thread; BLAS
+    # reads them only when numpy loads, so a late change would only falsify
+    # the thread record in metadata.json
+    if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in BLAS_THREAD_VARS):
+        print("qpose: --deterministic cannot pin BLAS threads after numpy has loaded;"
+              " thread variables left as they are", file=sys.stderr)
+        return
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
 
@@ -77,6 +83,22 @@ def _add_shift_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-target", type=float, default=d.noise_sigma_target)
 
 
+def _add_model_args(parser: argparse.ArgumentParser) -> None:
+    from .serialize import KINDS
+
+    parser.add_argument("--model", required=True, choices=list(KINDS))
+    parser.add_argument("--qubits", type=int, default=10)
+    parser.add_argument("--layers", type=int, default=1)
+    parser.add_argument("--k", type=int, default=5, help="neighbors for knn")
+
+
+def _add_optimizer_args(parser: argparse.ArgumentParser, epochs: int) -> None:
+    parser.add_argument("--epochs", type=int, default=epochs)
+    parser.add_argument("--batch-size", type=int, default=100)
+    parser.add_argument("--lr", type=float, default=0.02)
+    parser.add_argument("--weight-decay", type=float, default=1e-4)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpose",
@@ -95,17 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="pretrain a model on the labeled source split")
     _add_common(p)
     p.add_argument("--data", required=True, help="dataset CSV from `gen` (or external)")
-    p.add_argument("--model", required=True, choices=["dnn", "qnn", "knn", "gnb"])
-    p.add_argument("--qubits", type=int, default=10)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--k", type=int, default=5, help="neighbors for knn")
+    _add_model_args(p)
     p.add_argument("--labeled-fraction", type=float, default=None,
                    help="fraction of source samples labeled for training (default 0.5)")
     p.add_argument("--labeled-count", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    _add_optimizer_args(p, epochs=100)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("transfer", help="few-shot fine-tuning on target labels")
@@ -115,10 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="labeled target sample count")
     p.add_argument("--fraction", type=float, default=None,
                    help="labeled target fraction (default 0.10)")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    _add_optimizer_args(p, epochs=50)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--mode", choices=["resample", "reshuffle"], default="resample",
                    help="resample the transfer subset per repeat, or reshuffle batches only")
@@ -134,18 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="accuracy vs labeled training sample count")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, choices=["dnn", "qnn", "knn", "gnb"])
+    _add_model_args(p)
     p.add_argument("--grid", required=True,
                    help="comma-separated labeled sample counts, e.g. 52,104,208")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--eval-domain", choices=["source", "target"], default="target")
-    p.add_argument("--qubits", type=int, default=10)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    _add_optimizer_args(p, epochs=100)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("make-figures",
@@ -169,58 +176,24 @@ def _load_dataset(path):
     return load_csv(path)
 
 
-def _train_model(dataset, args):
-    """Split source, fit the normalizer on the labeled part, train."""
-    from .baselines import GnbModel, KnnModel
-    from .data import Domain, FeatureNormalizer, split_labeled
-    from .neural import DnnModel
-    from .quantum_classifier import DressedQnnModel, StdAnsatz
-    from .training import TrainConfig, pretrain
+def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
+    """``fit_model`` with the model and optimizer flags of ``args``."""
+    from .training import TrainConfig, fit_model
 
-    fraction = args.labeled_fraction
-    count = getattr(args, "labeled_count", None)
-    if fraction is None and count is None:
-        fraction = 0.5
-    split = split_labeled(dataset, Domain.SOURCE, fraction=fraction, count=count, seed=args.seed)
-    if not split.labeled:
-        raise ValueError("labeled source split is empty; raise --labeled-fraction")
-    normalizer = FeatureNormalizer.fit(split.labeled)
-
-    trace = None
-    if args.model == "knn":
-        model = KnnModel.fit(split.labeled, normalizer, k=args.k)
-    elif args.model == "gnb":
-        model = GnbModel.fit(split.labeled, normalizer)
-    else:
-        config = TrainConfig(
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            lr=args.lr,
-            weight_decay=args.weight_decay,
-            seed=args.seed,
-        )
-        if args.model == "dnn":
-            model = DnnModel.create(normalizer, seed=args.seed)
-        else:
-            ansatz = StdAnsatz(n_qubits=args.qubits, n_layers=args.layers)
-            model = DressedQnnModel.create(normalizer, ansatz=ansatz, seed=args.seed)
-        trace = pretrain(model, split.labeled, config, eval_samples=split.evaluation or None)
-    return model, split, trace
+    config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs, lr=args.lr,
+                         weight_decay=args.weight_decay, seed=seed)
+    return fit_model(args.model, samples, config=config, qubits=args.qubits,
+                     layers=args.layers, k=k, eval_samples=eval_samples)
 
 
-def _param_summary(model) -> dict:
-    from .neural import DnnModel
-    from .quantum_classifier import DressedQnnModel
+def _write_metadata(args, out_dir: Path, dataset, metrics: dict) -> None:
+    from .data import dataset_sha256
+    from .serialize import write_run_metadata
 
-    if isinstance(model, DressedQnnModel):
-        return {
-            "quantum_params": model.n_quantum_params(),
-            "classical_params": model.n_classical_params(),
-            "total_params": model.n_params(),
-        }
-    if isinstance(model, DnnModel):
-        return {"total_params": model.n_params()}
-    return {}
+    write_run_metadata(out_dir / "metadata.json", command=args.command,
+                       config={k: v for k, v in vars(args).items() if k != "func"},
+                       seed=args.seed, dataset_hash=dataset_sha256(dataset),
+                       deterministic=args.deterministic, metrics=metrics)
 
 
 def _eval_dict(model, samples) -> dict:
@@ -272,14 +245,24 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import Domain, dataset_sha256
-    from .serialize import save_checkpoint, write_run_metadata
+    from .data import Domain, split_labeled
+    from .serialize import save_checkpoint
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args.data)
-    model, split, trace = _train_model(dataset, args)
+    fraction = args.labeled_fraction
+    if fraction is None and args.labeled_count is None:
+        fraction = 0.5
+    split = split_labeled(dataset, Domain.SOURCE, fraction=fraction, count=args.labeled_count,
+                          seed=args.seed)
+    if not split.labeled:
+        raise ValueError("labeled source split is empty; raise --labeled-fraction")
+    model, trace = _fit(args, split.labeled, args.seed, k=args.k,
+                        eval_samples=split.evaluation or None)
 
-    summary = {"model": args.model} | _param_summary(model)
+    summary = {"model": args.model}
+    if hasattr(model, "param_counts"):
+        summary |= model.param_counts()
     if split.evaluation:
         summary["in_domain"] = _eval_dict(model, split.evaluation)
     target = dataset.by_domain(Domain.TARGET)
@@ -291,18 +274,10 @@ def cmd_train(args) -> int:
 
     save_checkpoint(model, out_dir / "checkpoint.json")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    write_run_metadata(
-        out_dir / "metadata.json",
-        command="train",
-        config={k: v for k, v in vars(args).items() if k != "func"},
-        seed=args.seed,
-        dataset_hash=dataset_sha256(dataset),
-        deterministic=args.deterministic,
-        metrics={
-            "in_domain_accuracy": summary.get("in_domain", {}).get("accuracy"),
-            "cross_domain_accuracy": summary.get("cross_domain", {}).get("accuracy"),
-        },
-    )
+    _write_metadata(args, out_dir, dataset, metrics={
+        "in_domain_accuracy": summary.get("in_domain", {}).get("accuracy"),
+        "cross_domain_accuracy": summary.get("cross_domain", {}).get("accuracy"),
+    })
     acc = summary.get("in_domain", {}).get("accuracy")
     print(f"trained {args.model}: params={summary.get('total_params')}"
           f" in-domain accuracy={acc}")
@@ -310,8 +285,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .data import dataset_sha256
-    from .serialize import load_checkpoint, save_checkpoint, write_run_metadata
+    from .serialize import load_checkpoint, save_checkpoint
     from .training import TransferConfig, run_repeated
 
     out_dir = _out_dir(args)
@@ -341,19 +315,9 @@ def cmd_transfer(args) -> int:
     (out_dir / "transfer_summary.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )
-    write_run_metadata(
-        out_dir / "metadata.json",
-        command="transfer",
-        config={k: v for k, v in vars(args).items() if k != "func"},
-        seed=args.seed,
-        dataset_hash=dataset_sha256(dataset),
-        deterministic=args.deterministic,
-        metrics={
-            "pre_accuracy_mean": doc["pre_accuracy_mean"],
-            "post_accuracy_mean": doc["post_accuracy_mean"],
-            "post_accuracy_std": doc["post_accuracy_std"],
-        },
-    )
+    _write_metadata(args, out_dir, dataset, metrics={
+        k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")
+    })
     print(f"transfer {model.kind}: pre={doc['pre_accuracy_mean']:.4f}"
           f" post={doc['post_accuracy_mean']:.4f} +- {doc['post_accuracy_std']:.4f}"
           f" over {args.repeats} repeats")
@@ -361,9 +325,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import Domain, dataset_sha256
+    from .data import Domain
     from .evaluation import evaluate, write_confusion_csv, write_roc_csvs, write_summary_json
-    from .serialize import load_checkpoint, write_run_metadata
+    from .serialize import load_checkpoint
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args.data)
@@ -376,60 +340,17 @@ def cmd_eval(args) -> int:
     write_summary_json(report, out_dir / "eval_summary.json")
     write_confusion_csv(report, out_dir / "confusion.csv")
     write_roc_csvs(report, out_dir)
-    write_run_metadata(
-        out_dir / "metadata.json",
-        command="eval",
-        config={k: v for k, v in vars(args).items() if k != "func"},
-        seed=args.seed,
-        dataset_hash=dataset_sha256(dataset),
-        deterministic=args.deterministic,
-        metrics={
-            "accuracy": report.accuracy,
-            "macro_auc": report.macro_auc,
-            "micro_auc": report.micro_auc,
-        },
-    )
+    _write_metadata(args, out_dir, dataset, metrics={
+        "accuracy": report.accuracy, "macro_auc": report.macro_auc, "micro_auc": report.micro_auc,
+    })
     print(f"eval {model.kind} on {args.domain}: accuracy={report.accuracy:.4f}"
           f" macro_auc={report.macro_auc:.4f} micro_auc={report.micro_auc:.4f}")
     return 0
 
 
-def _curve_factory(args):
-    from .baselines import GnbModel, KnnModel
-    from .data import FeatureNormalizer
-    from .neural import DnnModel
-    from .quantum_classifier import DressedQnnModel, StdAnsatz
-    from .training import TrainConfig, pretrain
-
-    def factory(samples, seed):
-        normalizer = FeatureNormalizer.fit(samples)
-        if args.model == "knn":
-            k = min(args.k, len(samples))
-            return KnnModel.fit(samples, normalizer, k=k)
-        if args.model == "gnb":
-            return GnbModel.fit(samples, normalizer)
-        config = TrainConfig(
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            lr=args.lr,
-            weight_decay=args.weight_decay,
-            seed=seed,
-        )
-        if args.model == "dnn":
-            model = DnnModel.create(normalizer, seed=seed)
-        else:
-            ansatz = StdAnsatz(n_qubits=args.qubits, n_layers=args.layers)
-            model = DressedQnnModel.create(normalizer, ansatz=ansatz, seed=seed)
-        pretrain(model, samples, config)
-        return model
-
-    return factory
-
-
 def cmd_curve(args) -> int:
-    from .data import Domain, dataset_sha256, split_labeled
+    from .data import Domain, split_labeled
     from .evaluation import accuracy_vs_samples_curve, write_curve_csv
-    from .serialize import write_run_metadata
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args.data)
@@ -445,20 +366,15 @@ def cmd_curve(args) -> int:
         split = split_labeled(dataset, Domain.SOURCE, fraction=0.75, seed=args.seed)
         pool, eval_samples = split.labeled, split.evaluation
 
+    def factory(samples, seed):
+        return _fit(args, samples, seed, k=min(args.k, len(samples)))[0]
+
     points = accuracy_vs_samples_curve(
-        _curve_factory(args), pool, eval_samples, grid,
-        seed=args.seed, n_repeats=args.repeats,
+        factory, pool, eval_samples, grid, seed=args.seed, n_repeats=args.repeats,
     )
     write_curve_csv(points, out_dir / "curve.csv")
-    write_run_metadata(
-        out_dir / "metadata.json",
-        command="curve",
-        config={k: v for k, v in vars(args).items() if k != "func"},
-        seed=args.seed,
-        dataset_hash=dataset_sha256(dataset),
-        deterministic=args.deterministic,
-        metrics={str(p.n_labeled): p.mean_accuracy for p in points},
-    )
+    _write_metadata(args, out_dir, dataset,
+                    metrics={str(p.n_labeled): p.mean_accuracy for p in points})
     for p in points:
         print(f"n={p.n_labeled:5d} accuracy={p.mean_accuracy:.4f} +- {p.std_accuracy:.4f}")
     return 0
@@ -504,6 +420,8 @@ def _run(argv) -> None:
 
 
 def cmd_make_figures(args) -> int:
+    from .serialize import KINDS
+
     fx = QUICK if args.quick else FIXTURE
     out_dir = _out_dir(args)
     seed = args.seed
@@ -514,14 +432,15 @@ def cmd_make_figures(args) -> int:
           "--n-target", str(fx["n_target"]), "--out", data,
           "--out-dir", str(out_dir)] + det)
 
-    for model in ("dnn", "qnn", "knn", "gnb"):
+    for model in KINDS:
         epochs = fx["qnn_epochs"] if model == "qnn" else fx["dnn_epochs"]
         _run(["train", "--seed", str(seed), "--data", data, "--model", model,
               "--labeled-fraction", str(fx["labeled_fraction"]),
               "--epochs", str(epochs),
               "--out-dir", str(out_dir / model)] + det)
 
-    for model in ("dnn", "qnn"):
+    tunable = [kind for kind, cls in KINDS.items() if hasattr(cls, "transfer_frozen")]
+    for model in tunable:
         _run(["transfer", "--seed", str(seed), "--data", data,
               "--checkpoint", str(out_dir / model / "checkpoint.json"),
               "--fraction", str(fx["transfer_fraction"]),
@@ -529,7 +448,7 @@ def cmd_make_figures(args) -> int:
               "--repeats", str(fx["repeats"]),
               "--out-dir", str(out_dir / f"transfer_{model}")] + det)
 
-    for model in ("dnn", "qnn"):
+    for model in tunable:
         _run(["eval", "--seed", str(seed), "--data", data,
               "--checkpoint", str(out_dir / model / "checkpoint.json"),
               "--domain", "target",
@@ -542,7 +461,7 @@ def cmd_make_figures(args) -> int:
               "--out-dir", str(out_dir / f"curve_{model}")] + det)
 
     facts = {"fixture": fx, "seed": seed, "models": {}}
-    for model in ("dnn", "qnn", "knn", "gnb"):
+    for model in KINDS:
         summary = json.loads((out_dir / model / "summary.json").read_text(encoding="utf-8"))
         entry = {
             "params": {k: summary[k] for k in
@@ -552,7 +471,7 @@ def cmd_make_figures(args) -> int:
             "cross_domain_macro_auc": summary["cross_domain"]["macro_auc"],
             "cross_domain_micro_auc": summary["cross_domain"]["micro_auc"],
         }
-        if model in ("dnn", "qnn"):
+        if model in tunable:
             tdoc = json.loads(
                 (out_dir / f"transfer_{model}" / "transfer_summary.json").read_text(
                     encoding="utf-8"

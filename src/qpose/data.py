@@ -129,6 +129,37 @@ class FeatureNormalizer:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
 
+class CheckpointError(ValueError):
+    """Malformed or unsupported checkpoint document; names the bad field."""
+
+
+def checkpoint_arrays(section: str, doc, shapes: dict) -> dict[str, np.ndarray]:
+    """Finite float64 arrays for exactly the names in ``shapes``, in that
+    order. A None in a shape matches any length. Model classes restore
+    their checkpoint sections through this."""
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint field {section} must be an object")
+    extra = sorted(set(doc) - set(shapes))
+    if extra:
+        raise CheckpointError(f"checkpoint field {section} has unexpected names {extra}")
+    arrays = {}
+    for name, shape in shapes.items():
+        field = f"{section}.{name}"
+        if name not in doc:
+            raise CheckpointError(f"checkpoint field {field} is missing")
+        try:
+            arr = np.array(doc[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint field {field} is not a numeric array") from exc
+        if arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape)):
+            raise CheckpointError(f"checkpoint field {field} has shape {arr.shape},"
+                                  f" expected {shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint field {field} is not finite")
+        arrays[name] = arr
+    return arrays
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Parameters of the synthetic source-to-target domain shift.

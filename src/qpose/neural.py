@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import N_CLASSES, N_FEATURES, FeatureNormalizer
+from .data import N_CLASSES, N_FEATURES, FeatureNormalizer, checkpoint_arrays
 
 
 def mish(x: np.ndarray) -> np.ndarray:
@@ -84,11 +84,11 @@ class DnnConfig:
         if min(self.n_features, self.n_classes, self.hidden) < 1 or self.n_blocks < 0:
             raise ValueError("dimensions must be positive, n_blocks nonnegative")
 
-    def param_names(self) -> list[str]:
-        names = ["in.w", "in.b"]
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        shapes = {"in.w": (self.n_features, self.hidden), "in.b": (self.hidden,)}
         for i in range(self.n_blocks):
-            names += [f"res{i}.w", f"res{i}.b"]
-        return names + ["out.w", "out.b"]
+            shapes |= {f"res{i}.w": (self.hidden, self.hidden), f"res{i}.b": (self.hidden,)}
+        return shapes | {"out.w": (self.hidden, self.n_classes), "out.b": (self.n_classes,)}
 
 
 def dnn_init(config: DnnConfig, seed: int = 0) -> dict[str, np.ndarray]:
@@ -146,11 +146,6 @@ def dnn_loss_and_grad(params, x, labels, config: DnnConfig):
     return loss, dnn_backward(params, cache, grad_logits, config)
 
 
-def dnn_predict_proba(params, x, config: DnnConfig) -> np.ndarray:
-    logits, _ = dnn_forward(params, x, config)
-    return softmax(logits)
-
-
 @dataclass(eq=False)
 class DnnModel:
     """Residual MLP pose classifier with its frozen feature normalizer."""
@@ -167,8 +162,20 @@ class DnnModel:
     def create(cls, normalizer, config: DnnConfig = DnnConfig(), seed: int = 0) -> "DnnModel":
         return cls(config=config, params=dnn_init(config, seed), normalizer=normalizer)
 
+    @classmethod
+    def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DnnModel":
+        config = DnnConfig(**config)
+        return cls(config=config, params=checkpoint_arrays("params", params, config.param_shapes()),
+                   normalizer=normalizer)
+
+    def checkpoint_sections(self) -> tuple[dict, dict]:
+        return vars(self.config).copy(), {k: v.tolist() for k, v in self.params.items()}
+
     def n_params(self) -> int:
         return n_params(self.params)
+
+    def param_counts(self) -> dict[str, int]:
+        return {"total_params": self.n_params()}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         out, _ = dnn_forward(self.params, self.normalizer.transform(x), self.config)
@@ -243,8 +250,3 @@ class AdamW:
             v_hat = v / (1.0 - self.beta2**t)
             p *= 1.0 - self.lr * self.weight_decay
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_moments(self) -> None:
-        self.m.clear()
-        self.v.clear()
-        self.step_count = 0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureNormalizer, N_CLASSES, N_FEATURES
+from .data import FeatureNormalizer, N_CLASSES, N_FEATURES, checkpoint_arrays
 from .neural import linear_init, n_params, softmax, softmax_cross_entropy
 from .statevector import (
     GateKind,
@@ -223,6 +223,23 @@ class DressedQnnModel:
         params["theta"] = rng.uniform(-np.pi, np.pi, ansatz.n_theta)
         params["out.w"], params["out.b"] = linear_init(rng, ansatz.n_qubits, n_classes)
         return cls(ansatz=ansatz, params=params, normalizer=normalizer)
+
+    @classmethod
+    def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DressedQnnModel":
+        ansatz = StdAnsatz(n_qubits=config["n_qubits"], n_layers=config["n_layers"])
+        n = ansatz.n_qubits
+        shapes = {"in.w": (N_FEATURES, n), "in.b": (n,), "theta": (ansatz.n_theta,),
+                  "out.w": (n, N_CLASSES), "out.b": (N_CLASSES,)}
+        return cls(ansatz=ansatz, params=checkpoint_arrays("params", params, shapes),
+                   normalizer=normalizer)
+
+    def checkpoint_sections(self) -> tuple[dict, dict]:
+        config = {"n_qubits": self.ansatz.n_qubits, "n_layers": self.ansatz.n_layers}
+        return config, {k: v.tolist() for k, v in self.params.items()}
+
+    def param_counts(self) -> dict[str, int]:
+        return {"quantum_params": self.n_quantum_params(),
+                "classical_params": self.n_classical_params(), "total_params": self.n_params()}
 
     def n_quantum_params(self) -> int:
         return self.params["theta"].size

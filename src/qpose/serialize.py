@@ -6,6 +6,13 @@ One JSON schema covers every model kind:
      "config": {...}, "normalizer": {"mean": [...], "std": [...]},
      "params": {name: nested lists}}
 
+A kind is registered in `KINDS` (kind -> model class). This module owns the
+envelope; each class writes its `config` and `params` sections in
+`checkpoint_sections()` and restores itself in `from_checkpoint`. Loading
+validates: parameter names and shapes against the config, finite values, a
+(36,) normalizer with std > 0, kNN labels in 0..7; a violation raises
+`CheckpointError` naming the field.
+
 JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
 everything needed to reproduce a run: argv-style config, seeds, a SHA-256
@@ -19,56 +26,26 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from . import BLAS_THREAD_VARS
 from .baselines import GnbModel, KnnModel
-from .data import FeatureNormalizer
-from .neural import DnnConfig, DnnModel
-from .quantum_classifier import DressedQnnModel, StdAnsatz
+from .data import N_FEATURES, CheckpointError, FeatureNormalizer, checkpoint_arrays
+from .neural import DnnModel
+from .quantum_classifier import DressedQnnModel
 
 FORMAT_VERSION = 1
 
-
-class CheckpointError(ValueError):
-    """Malformed or unsupported checkpoint document."""
-
-
-def _array_map(params: dict[str, np.ndarray]) -> dict:
-    return {k: np.asarray(v).tolist() for k, v in params.items()}
+# kind -> model class, in the order the CLI lists and reports them
+KINDS = {"dnn": DnnModel, "qnn": DressedQnnModel, "knn": KnnModel, "gnb": GnbModel}
 
 
 def checkpoint_dict(model) -> dict:
-    norm = {"mean": model.normalizer.mean.tolist(), "std": model.normalizer.std.tolist()}
-    if isinstance(model, DressedQnnModel):
-        config = {"n_qubits": model.ansatz.n_qubits, "n_layers": model.ansatz.n_layers}
-        params = _array_map(model.params)
-    elif isinstance(model, DnnModel):
-        c = model.config
-        config = {
-            "n_features": c.n_features,
-            "n_classes": c.n_classes,
-            "hidden": c.hidden,
-            "n_blocks": c.n_blocks,
-        }
-        params = _array_map(model.params)
-    elif isinstance(model, KnnModel):
-        config = {"k": model.k}
-        params = {"features": model.features.tolist(), "labels": model.labels.tolist()}
-    elif isinstance(model, GnbModel):
-        config = {}
-        params = {
-            "priors": model.priors.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-        }
-    else:
-        raise CheckpointError(f"unsupported model type {type(model).__name__}")
+    config, params = model.checkpoint_sections()
     return {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "config": config,
-        "normalizer": norm,
+        "normalizer": {"mean": model.normalizer.mean.tolist(),
+                       "std": model.normalizer.std.tolist()},
         "params": params,
     }
 
@@ -82,38 +59,25 @@ def model_from_dict(doc: dict):
         version = doc["format_version"]
         kind = doc["kind"]
         config = doc["config"]
-        params_doc = doc["params"]
+        params = doc["params"]
         norm_doc = doc["normalizer"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"missing checkpoint field: {exc}") from exc
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {version}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise CheckpointError(f"unknown model kind `{kind}`")
     normalizer = FeatureNormalizer(
-        mean=np.array(norm_doc["mean"], dtype=np.float64),
-        std=np.array(norm_doc["std"], dtype=np.float64),
+        **checkpoint_arrays("normalizer", norm_doc, {"mean": (N_FEATURES,), "std": (N_FEATURES,)})
     )
-    if kind == "qnn":
-        ansatz = StdAnsatz(n_qubits=config["n_qubits"], n_layers=config["n_layers"])
-        params = {k: np.array(v, dtype=np.float64) for k, v in params_doc.items()}
-        return DressedQnnModel(ansatz=ansatz, params=params, normalizer=normalizer)
-    if kind == "dnn":
-        params = {k: np.array(v, dtype=np.float64) for k, v in params_doc.items()}
-        return DnnModel(config=DnnConfig(**config), params=params, normalizer=normalizer)
-    if kind == "knn":
-        return KnnModel(
-            features=np.array(params_doc["features"], dtype=np.float64),
-            labels=np.array(params_doc["labels"], dtype=np.int64),
-            k=config["k"],
-            normalizer=normalizer,
-        )
-    if kind == "gnb":
-        return GnbModel(
-            priors=np.array(params_doc["priors"], dtype=np.float64),
-            means=np.array(params_doc["means"], dtype=np.float64),
-            variances=np.array(params_doc["variances"], dtype=np.float64),
-            normalizer=normalizer,
-        )
-    raise CheckpointError(f"unknown model kind `{kind}`")
+    if (normalizer.std <= 0).any():
+        raise CheckpointError("checkpoint field normalizer.std must be positive")
+    try:
+        return KINDS[kind].from_checkpoint(config, params, normalizer)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid {kind} checkpoint config: {exc!r}") from exc
 
 
 def load_checkpoint(path):

@@ -1,5 +1,8 @@
 """Pretraining on source labels and few-shot transfer fine-tuning.
 
+`fit_model` is the one place that builds a model by kind: it fits the
+normalizer, creates the model and pretrains it when the kind trains.
+
 The transfer protocol: a model pretrained on the source domain is fine-tuned
 on a small labeled target subset while its feature-facing layers stay
 frozen. For the quantum model only the circuit angles theta train (input and
@@ -21,9 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, Domain, features_matrix, labels_vector, split_labeled
+from .baselines import GnbModel, KnnModel
+from .data import Dataset, Domain, FeatureNormalizer, features_matrix, labels_vector, split_labeled
 from .evaluation import accuracy_of, evaluate
-from .neural import AdamW
+from .neural import AdamW, DnnModel
+from .quantum_classifier import DressedQnnModel, StdAnsatz
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,29 @@ def pretrain(model, labeled, config: TrainConfig, eval_samples=None) -> TrainTra
         frozen=frozenset(),
         eval_samples=eval_samples,
     )
+
+
+def fit_model(kind: str, samples, *, config: TrainConfig, qubits: int = 10, layers: int = 1,
+              k: int = 5, eval_samples=None):
+    """Build a ``kind`` model on ``samples`` with a normalizer fitted on
+    them. kNN and GNB are fitted directly; the DNN and the QNN are
+    initialized from ``config.seed`` and pretrained.
+
+    Returns ``(model, trace)``, with trace None for kNN and GNB.
+    """
+    normalizer = FeatureNormalizer.fit(samples)
+    if kind == "knn":
+        return KnnModel.fit(samples, normalizer, k=k), None
+    if kind == "gnb":
+        return GnbModel.fit(samples, normalizer), None
+    if kind == "dnn":
+        model = DnnModel.create(normalizer, seed=config.seed)
+    elif kind == "qnn":
+        ansatz = StdAnsatz(n_qubits=qubits, n_layers=layers)
+        model = DressedQnnModel.create(normalizer, ansatz=ansatz, seed=config.seed)
+    else:
+        raise ValueError(f"unknown model kind `{kind}`")
+    return model, pretrain(model, samples, config, eval_samples=eval_samples)
 
 
 def transfer_finetune(model, fewshot, config: TransferConfig, eval_samples=None) -> TrainTrace:

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: determinism, error documents, output files."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +269,33 @@ class TestHarness:
         assert threads[False]["OPENBLAS_NUM_THREADS"] == "8"
         assert threads[False]["OMP_NUM_THREADS"] == "4"
         assert set(threads[True].values()) == {"1"}
+
+    def test_deterministic_in_process_keeps_and_records_loaded_threads(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        # numpy is already loaded here, so the variables can no longer take effect
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        out = tmp_path / "g"
+        code = run_cli(["gen", "--seed", "1", "--n-source", "24", "--n-target", "24",
+                        "--out", str(tmp_path / "d.csv"), "--deterministic"], out)
+        assert code == 0
+        doc = json.loads((out / "gen_metadata.json").read_text())
+        assert doc["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        err = capsys.readouterr().err
+        assert "--deterministic" in err and len(err.strip().splitlines()) == 1
+
+
+class TestScripts:
+    def test_calibrate_shift_smoke(self, capsys):
+        path = Path(__file__).parent.parent / "scripts" / "calibrate_shift.py"
+        spec = importlib.util.spec_from_file_location("calibrate_shift", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        code = script.main(["--n-source", "64", "--n-target", "64", "--dnn-epochs", "1",
+                            "--qnn-epochs", "1", "--offset-grid", "0,10.5"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("offset"))
+        rows = [line.split() for line in lines[header + 1:]]
+        assert [row[0] for row in rows] == ["0.00", "10.50"]
+        assert all(len(row) == 3 for row in rows)

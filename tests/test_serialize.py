@@ -16,7 +16,9 @@ from qpose.data import (
 )
 from qpose.neural import DnnConfig, DnnModel
 from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
+from qpose.cli import build_parser
 from qpose.serialize import (
+    KINDS,
     CheckpointError,
     checkpoint_dict,
     load_checkpoint,
@@ -24,6 +26,7 @@ from qpose.serialize import (
     save_checkpoint,
     write_run_metadata,
 )
+from qpose.training import TrainConfig, fit_model
 
 
 def fitted_models():
@@ -77,6 +80,32 @@ class TestRoundTrip:
         assert p1.read_text() == p2.read_text()
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_fit_save_load_predicts_bitwise(self, kind, tmp_path):
+        ds = generate_synthetic(48, 16, ShiftSpec(seed=5))
+        labeled = split_labeled(ds, Domain.SOURCE, fraction=1.0, seed=0).labeled
+        model, trace = fit_model(kind, labeled, config=TrainConfig(epochs=1, batch_size=16),
+                                 qubits=3, k=3)
+        assert isinstance(model, KINDS[kind])
+        assert (trace is None) == (kind in ("knn", "gnb"))
+        save_checkpoint(model, tmp_path / "m.json")
+        back = load_checkpoint(tmp_path / "m.json")
+        x = np.random.default_rng(6).normal(size=(7, 36))
+        assert np.array_equal(back.predict_proba(x), model.predict_proba(x))
+
+    def test_unknown_kind_not_fitted(self):
+        ds = generate_synthetic(16, 16, ShiftSpec(seed=5))
+        with pytest.raises(ValueError, match="kind"):
+            fit_model("svm", ds.samples, config=TrainConfig())
+
+    @pytest.mark.parametrize("command", ["train", "curve"])
+    def test_model_choices_are_the_registry(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        model = next(a for a in sub.choices[command]._actions if a.dest == "model")
+        assert model.choices == list(KINDS)
+
+
 class TestValidation:
     def good_doc(self):
         return checkpoint_dict(fitted_models()["dnn"])
@@ -98,6 +127,67 @@ class TestValidation:
         doc = self.good_doc()
         doc["kind"] = "transformer"
         with pytest.raises(CheckpointError, match="kind"):
+            model_from_dict(doc)
+
+    def test_non_finite_param_rejected(self):
+        doc = self.good_doc()
+        doc["params"]["res1.w"] = np.full((9, 9), np.nan).tolist()
+        with pytest.raises(CheckpointError, match=r"params\.res1\.w.*finite"):
+            model_from_dict(doc)
+
+    def test_missing_param_rejected(self):
+        doc = self.good_doc()
+        del doc["params"]["res1.b"]
+        with pytest.raises(CheckpointError, match=r"params\.res1\.b.*missing"):
+            model_from_dict(doc)
+
+    def test_unexpected_param_rejected(self):
+        doc = self.good_doc()
+        doc["params"]["res9.w"] = [[0.0]]
+        with pytest.raises(CheckpointError, match="res9.w"):
+            model_from_dict(doc)
+
+    def test_param_shape_must_match_config(self):
+        doc = self.good_doc()
+        doc["config"]["hidden"] = 10
+        with pytest.raises(CheckpointError, match=r"params\.in\.w.*shape"):
+            model_from_dict(doc)
+
+    def test_truncated_qnn_theta_rejected(self):
+        doc = checkpoint_dict(fitted_models()["qnn"])
+        doc["params"]["theta"] = doc["params"]["theta"][:-1]
+        with pytest.raises(CheckpointError, match=r"params\.theta.*shape"):
+            model_from_dict(doc)
+
+    def test_zero_normalizer_std_rejected(self):
+        doc = self.good_doc()
+        doc["normalizer"]["std"][0] = 0.0
+        with pytest.raises(CheckpointError, match=r"normalizer\.std"):
+            model_from_dict(doc)
+
+    def test_normalizer_shape_rejected(self):
+        doc = self.good_doc()
+        doc["normalizer"]["mean"] = doc["normalizer"]["mean"][:35]
+        with pytest.raises(CheckpointError, match=r"normalizer\.mean.*shape"):
+            model_from_dict(doc)
+
+    def test_knn_empty_params_rejected(self):
+        doc = checkpoint_dict(fitted_models()["knn"])
+        doc["params"] = {}
+        with pytest.raises(CheckpointError, match=r"params\.features"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("label", [-1, N_CLASSES, 2.5])
+    def test_knn_label_outside_classes_rejected(self, label):
+        doc = checkpoint_dict(fitted_models()["knn"])
+        doc["params"]["labels"][0] = label
+        with pytest.raises(CheckpointError, match=r"params\.labels"):
+            model_from_dict(doc)
+
+    def test_bad_config_is_checkpoint_error(self):
+        doc = checkpoint_dict(fitted_models()["knn"])
+        doc["config"] = {}
+        with pytest.raises(CheckpointError, match="knn"):
             model_from_dict(doc)
 
     def test_invalid_json_rejected(self, tmp_path):
