@@ -1,7 +1,7 @@
 """Run the committed fixture pipeline and print the headline accuracy table.
 
 Wraps `qpose make-figures --deterministic` (seed 7, single-threaded numerics,
-about six minutes on one core) and digests facts.json afterwards. --quick
+about 20 seconds on one core) and digests facts.json afterwards. --quick
 substitutes a tiny smoke-test fixture that finishes in under a minute.
 """
 

@@ -14,12 +14,19 @@ circuit evaluations for K = 2(n-1)L + n slots (57 at n=10, L=1; 37 when
 only the ansatz angles train); a module-level counter tracks this so tests
 can pin the cost down.
 
-The shifted circuits are not re-simulated from |0...0>. A circuit shifted
-at slot j matches the base circuit up to j's RY gate, so `z_from_angles`
-runs all 1 + 2K circuits of a sample in one staircase sweep over the gates:
-the shifted pair forks off the base state at its own gate and only the
-remaining gates run on it. Every circuit is still evaluated and counted;
-the sweep only skips recomputing their shared prefixes.
+The circuits are not simulated on all n qubits. <Z_q> depends only on the
+gates in qubit q's backward light cone (the causal-cone argument for local
+observables), which at n=10, L=1 spans 2 or 4 qubits; `light_cones`
+groups the readout qubits that share a cone, and each group runs on a
+register of its cone's qubits alone, 16 amplitudes instead of 1024. When
+the groups would hold 2^n amplitudes or more (n=10 at L >= 3), a single
+full-width group takes their place. Inside a group the shifted circuits
+are not re-simulated from |0...0> either: a circuit shifted at slot j
+matches the base circuit up to j's RY gate, so all of a sample's circuits
+run in one staircase sweep over the gates, the shifted pair forking off
+the base state at its own gate. A shift outside a group's cone leaves that
+group's readout at its base value. Every logical circuit is still counted
+once; the sweep only skips work whose result is known.
 
 Implementation note: RY and CZ have real matrices and the start state
 |0...0> is real, so every statevector this module touches is real. The
@@ -30,7 +37,8 @@ simulator in `statevector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,10 +115,10 @@ class StdAnsatz:
         return self.n_qubits + self.n_theta
 
 
-# Rows per kernel launch. Small enough that a chunk's statevectors stay in
-# cache across the gate sequence; large batches run noticeably faster in
-# chunks than as one huge buffer.
-_ROW_CHUNK = 32
+# Amplitudes per chunk of the sweep: small enough that a chunk's
+# statevectors stay in cache across the gate sequence; large batches run
+# noticeably faster in chunks than as one huge buffer.
+_CHUNK_AMPLITUDES = 32 * 1024
 
 
 def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool = True):
@@ -137,38 +145,98 @@ def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool 
         raise ValueError(f"slots must be distinct angle slots in 0..{ansatz.n_slots - 1}")
     if slots is None and not base:
         raise ValueError("base=False needs shifted slots to evaluate")
-    z, z_plus, z_minus = _staircase_sweep(ansatz, angles, shifted, base)
+    out = _staircase_sweep(ansatz, angles, shifted)
     _eval_count += rows * (2 * len(shifted) + int(base))
     if slots is None:
-        return z
-    return z, z_plus, z_minus
+        return out[0]
+    return (out[0] if base else None), out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
 
 
-def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int], base: bool):
-    """Evaluate the base circuit and its +-pi/2 shifts at ``slots`` in one
-    pass over the gates.
+@lru_cache(maxsize=None)
+def light_cones(n_qubits: int, n_layers: int):
+    """Readout groups of the dressed circuit and the gates each one needs.
+
+    <Z_q> depends only on the gates in qubit q's backward light cone: walking
+    the gates backwards from q, a gate joins if it touches a live qubit, and
+    a CZ makes both of its qubits live. Readout qubits with the same cone
+    qubits form a group that runs on those qubits alone. Returns a tuple of
+    ``(qubits, ops, readout, local)``: ``qubits`` are the cone's qubits in
+    ascending order, ``ops`` the group's gates re-indexed to local qubits
+    0..w-1, ``readout`` the group's readout qubits and ``local`` their
+    local indices. If the groups together hold at least 2^n amplitudes, one
+    group of every qubit and gate takes their place.
+    """
+    ops = StdAnsatz(n_qubits, n_layers).dressed_ops()
+
+    def cone(readout):
+        live, gates = set(readout), []
+        for g in reversed(range(len(ops))):
+            touched = {ops[g].target, ops[g].control} - {None}
+            if touched & live:
+                live |= touched
+                gates.append(g)
+        return frozenset(live), gates[::-1]
+
+    groups: dict[frozenset, list[int]] = {}
+    for q in range(n_qubits):
+        groups.setdefault(cone([q])[0], []).append(q)
+    if sum(1 << len(qubits) for qubits in groups) >= 1 << n_qubits:
+        groups = {frozenset(range(n_qubits)): list(range(n_qubits))}
+    result = []
+    for qubits, readout in groups.items():
+        index = {q: i for i, q in enumerate(sorted(qubits))}
+        local_ops = tuple(
+            replace(ops[g], target=index[ops[g].target],
+                    control=None if ops[g].control is None else index[ops[g].control])
+            for g in cone(readout)[1])
+        result.append((tuple(index), local_ops, tuple(readout), tuple(index[q] for q in readout)))
+    return tuple(result)
+
+
+def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) -> np.ndarray:
+    """Base circuit and its +-pi/2 shifts at ``slots``, light cone by light cone.
+
+    Returns (1 + 2K, rows, n_qubits): block 0 is the base circuit, blocks
+    1 + 2i and 2 + 2i its shifts at ``slots[i]``. Each group of
+    `light_cones` runs `_cone_staircase` over the requested slots inside its
+    cone; a shift outside the cone leaves the group's readout at its base
+    value, so those blocks take the base readout.
+    """
+    rows, n = angles.shape[0], ansatz.n_qubits
+    out = np.empty((1 + 2 * len(slots), rows, n))
+    for qubits, ops, readout, local in light_cones(n, ansatz.n_layers):
+        in_cone = {op.angle_slot for op in ops if op.kind is GateKind.RY}
+        inside = [i for i, j in enumerate(slots) if j in in_cone]
+        part = _cone_staircase(len(qubits), ops, angles, [slots[i] for i in inside])[:, :, local]
+        out[:, :, readout] = part[0]
+        blocks = [0] + [b for i in inside for b in (1 + 2 * i, 2 + 2 * i)]
+        out[np.ix_(blocks, range(rows), readout)] = part
+    return out
+
+
+def _cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -> np.ndarray:
+    """Run ``ops`` on ``width`` qubits for the base circuit and its +-pi/2
+    shifts at ``slots`` in one pass over the gates.
 
     A circuit shifted at slot j equals the base circuit up to j's RY gate,
     so the shifted pair is copied from the base rows right there and only
     the remaining gates run on it. Rows are laid out slot-major in gate
     order, (1 + 2K) blocks of one row per sample, which keeps the rows
     that are live at any gate a leading slice of the buffer. Chunks hold as
-    many samples as fit `_ROW_CHUNK` rows, at least one.
+    many samples as fit `_CHUNK_AMPLITUDES`, at least one. Returns
+    (1 + 2K, rows, width) with the shifts in the order of ``slots``.
     """
-    n = ansatz.n_qubits
-    ops = ansatz.dressed_ops()
     gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
     order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
     opens = {gate_of[j] for j in slots}
     blocks = 1 + 2 * len(slots)
     rows = angles.shape[0]
-    out = np.empty((blocks, rows, n))
-    per_chunk = max(1, _ROW_CHUNK // blocks)
-    first = 0 if base else 1
+    out = np.empty((blocks, rows, width))
+    per_chunk = max(1, _CHUNK_AMPLITUDES // (blocks << width))
     for lo in range(0, rows, per_chunk):
         chunk = angles[lo : lo + per_chunk]
         s = chunk.shape[0]
-        amps = zero_states(n, batch=blocks * s, dtype=np.float64)
+        amps = zero_states(width, batch=blocks * s, dtype=np.float64)
         live = s
         for g, op in enumerate(ops):
             if op.kind is GateKind.CZ:
@@ -181,13 +249,10 @@ def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int], ba
                 theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
                 live += 2 * s
             ry_rows(amps[:live], op.target, theta)
-        z = z_expectations_rows(amps[first * s :])
-        out[first:, lo : lo + s] = z.reshape(blocks - first, s, n)
+        out[:, lo : lo + s] = z_expectations_rows(amps).reshape(blocks, s, width)
     # blocks are in gate order; hand the shifts back in the caller's order
     rank = np.argsort(order)
-    z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
-    z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
-    return (out[0] if base else None), z_plus, z_minus
+    return out[np.concatenate([[0], np.stack([1 + 2 * rank, 2 + 2 * rank], axis=1).ravel()])]
 
 
 @dataclass(eq=False)

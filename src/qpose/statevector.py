@@ -176,31 +176,8 @@ def z_expectations_rows(amps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-state operations.
+# Whole circuits.
 # ---------------------------------------------------------------------------
-
-
-def apply_ry(state: QuantumState, qubit: int, theta: float) -> QuantumState:
-    """RY rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]] on one qubit."""
-    _check_qubit(qubit, state.n_qubits)
-    out = state.amplitudes.copy().reshape(1, -1)
-    ry_rows(out, qubit, float(theta))
-    return QuantumState(state.n_qubits, out[0])
-
-
-def apply_cz(state: QuantumState, a: int, b: int) -> QuantumState:
-    """Negate amplitudes of basis states where qubits a and b are both 1."""
-    _check_qubit(a, state.n_qubits)
-    _check_qubit(b, state.n_qubits)
-    out = state.amplitudes.copy().reshape(1, -1)
-    cz_rows(out, a, b)
-    return QuantumState(state.n_qubits, out[0])
-
-
-def expectation_z(state: QuantumState, qubit: int) -> float:
-    """Exact <Z_qubit>: sum over basis states of |amp|^2 * (+1 or -1)."""
-    _check_qubit(qubit, state.n_qubits)
-    return float(state.probabilities() @ z_signs(state.n_qubits)[:, qubit])
 
 
 def run_circuit(n_qubits: int, ops, params) -> QuantumState:

@@ -96,10 +96,15 @@ class TrainTrace:
         return [r.eval_accuracy for r in self.records]
 
 
+class NonFiniteLossError(ArithmeticError):
+    """A batch loss came out NaN or infinite; training stops there."""
+
+
 def _sgd_epochs(model, samples, *, epochs, batch_size, lr, weight_decay,
                 seed, frozen, eval_samples) -> TrainTrace:
     """Shared mini-batch loop. The last incomplete batch is kept; per-epoch
-    loss is the mean over batch losses."""
+    loss is the mean over batch losses. A non-finite batch loss raises
+    `NonFiniteLossError` before the optimizer steps on it."""
     x = features_matrix(samples)
     y = labels_vector(samples)
     n = len(samples)
@@ -113,6 +118,9 @@ def _sgd_epochs(model, samples, *, epochs, batch_size, lr, weight_decay,
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, grads = model.loss_and_grad(x[idx], y[idx], needed=needed)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(f"batch loss is {loss} at epoch {epoch}, step "
+                                         f"{trace.total_steps} (lr {lr:g}); training diverged")
             optimizer.step(model.params, grads)
             trace.total_steps += 1
             batch_losses.append(loss)

@@ -6,6 +6,11 @@ products, AUC is computed by brute-force pairwise comparison in exact
 rational arithmetic, gradients come from central finite differences, and
 Gaussian naive Bayes posteriors from direct density products at 50-digit
 precision.
+
+The exceptions are the single-state helpers (`apply_ry`, `apply_cz`,
+`expectation_z`) and `full_width_sweep`: they run the statevector row
+kernels, which the tests check against the Kronecker oracle, and serve as
+the slower reference for the light-cone evaluation in `z_from_angles`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,16 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from qpose.statevector import GateKind, GateOp
+from qpose.statevector import (
+    GateKind,
+    GateOp,
+    QuantumState,
+    cz_rows,
+    ry_rows,
+    z_expectations_rows,
+    z_signs,
+    zero_states,
+)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -67,6 +81,67 @@ def simulate_dense(n_qubits: int, ops, params) -> np.ndarray:
 def z_expectation_dense(state: np.ndarray, qubit: int) -> float:
     n_qubits = int(np.log2(state.size))
     return float(np.real(np.conj(state) @ z_matrix(n_qubits, qubit) @ state))
+
+
+def apply_ry(state: QuantumState, qubit: int, theta: float) -> QuantumState:
+    """RY rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]] on one qubit."""
+    out = state.amplitudes.copy().reshape(1, -1)
+    ry_rows(out, qubit, float(theta))
+    return QuantumState(state.n_qubits, out[0])
+
+
+def apply_cz(state: QuantumState, a: int, b: int) -> QuantumState:
+    """Negate amplitudes of basis states where qubits a and b are both 1."""
+    out = state.amplitudes.copy().reshape(1, -1)
+    cz_rows(out, a, b)
+    return QuantumState(state.n_qubits, out[0])
+
+
+def expectation_z(state: QuantumState, qubit: int) -> float:
+    """Exact <Z_qubit>: sum over basis states of |amp|^2 * (+1 or -1)."""
+    if not 0 <= qubit < state.n_qubits:
+        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+    return float(state.probabilities() @ z_signs(state.n_qubits)[:, qubit])
+
+
+def full_width_sweep(ansatz, angles, slots=(), base=True):
+    """The dressed circuit and its +-pi/2 shifts at ``slots`` on all n
+    qubits, in one staircase pass over every gate: each shifted pair is
+    copied from the base rows at its own RY gate. Returns ``(z, z_plus,
+    z_minus)`` shaped like `z_from_angles` with slots (z is None without
+    ``base``)."""
+    n = ansatz.n_qubits
+    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
+    slots = [int(j) for j in slots]
+    ops = ansatz.dressed_ops()
+    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
+    order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
+    opens = {gate_of[j] for j in slots}
+    blocks = 1 + 2 * len(slots)
+    rows = angles.shape[0]
+    out = np.empty((blocks, rows, n))
+    per_chunk = max(1, 32 // blocks)  # 32 rows of 2^n amplitudes per chunk
+    for lo in range(0, rows, per_chunk):
+        chunk = angles[lo : lo + per_chunk]
+        s = chunk.shape[0]
+        amps = zero_states(n, batch=blocks * s, dtype=np.float64)
+        live = s
+        for g, op in enumerate(ops):
+            if op.kind is GateKind.CZ:
+                cz_rows(amps[:live], op.control, op.target)
+                continue
+            column = chunk[:, op.angle_slot]
+            theta = np.tile(column, live // s)
+            if g in opens:
+                amps[live : live + 2 * s].reshape(2, s, -1)[:] = amps[:s]
+                theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
+                live += 2 * s
+            ry_rows(amps[:live], op.target, theta)
+        out[:, lo : lo + s] = z_expectations_rows(amps).reshape(blocks, s, n)
+    rank = np.argsort(order)
+    z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
+    z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
+    return (out[0] if base else None), z_plus, z_minus
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):

@@ -120,6 +120,18 @@ class TestTrain:
         assert meta["config"]["labeled_count"] == 64
 
 
+    def test_diverging_training_stops_with_error_document(self, dataset, tmp_path, capsys):
+        out = tmp_path / "div"
+        code = run_cli(["train", "--seed", "1", "--data", str(dataset), "--model", "dnn",
+                        "--lr", "1e30", "--epochs", "20"], out)
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "NonFiniteLossError"
+        assert "epoch" in doc["message"] and "step" in doc["message"]
+        assert "1e+30" in doc["message"]
+        assert not (out / "checkpoint.json").exists()
+
+
 class TestEval:
     def test_perfect_fit_scores_one(self, dataset, tmp_path):
         train_dir = tmp_path / "knn"

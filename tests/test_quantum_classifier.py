@@ -1,25 +1,35 @@
 """Dressed QNN: ansatz layout, forward, parameter-shift gradients and the
-shared-prefix sweep that evaluates them."""
+shared-prefix sweep that evaluates them light cone by light cone."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, simulate_dense, z_expectation_dense
+import oracles
+from oracles import (
+    apply_ry,
+    central_difference,
+    expectation_z,
+    full_width_sweep,
+    simulate_dense,
+    z_expectation_dense,
+)
 from qpose.data import FeatureNormalizer
+from qpose import quantum_classifier
 from qpose.neural import softmax_cross_entropy
 from qpose.quantum_classifier import (
     DressedQnnModel,
     StdAnsatz,
     evaluation_count,
+    light_cones,
     param_shift_grad,
     qnn_backward,
     qnn_forward,
     reset_evaluation_count,
     z_from_angles,
 )
-from qpose.statevector import GateKind, apply_ry, expectation_z, run_circuit, QuantumState
+from qpose.statevector import GateKind, QuantumState, run_circuit
 
 
 def small_model(n_qubits=4, n_layers=1, seed=0):
@@ -263,6 +273,108 @@ class TestStaircaseSweep:
         m.loss_and_grad(x, np.array([0, 4, 7]), needed=needed)
         assert evaluation_count() == 3 * per_sample
         reset_evaluation_count()
+
+
+def forward_reach(ops, g):
+    """Qubits gate g can influence: its own, spread by every later CZ that
+    touches one of them."""
+    reach = {ops[g].target, ops[g].control} - {None}
+    for op in ops[g + 1:]:
+        if op.kind is GateKind.CZ and {op.control, op.target} & reach:
+            reach |= {op.control, op.target}
+    return reach
+
+
+def is_subsequence(short, long):
+    it = iter(long)
+    return all(item in it for item in short)
+
+
+class TestLightCone:
+    @given(
+        n=st.integers(2, 8),
+        layers=st.integers(1, 3),
+        batch=st.sampled_from([1, 3, 33]),
+        base=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_width_oracle(self, n, layers, batch, base, data):
+        ansatz = StdAnsatz(n, layers)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rng.uniform(-np.pi, np.pi, (batch, ansatz.n_slots))
+        slots = data.draw(st.lists(st.integers(0, ansatz.n_slots - 1), unique=True,
+                                   min_size=0 if base else 1), label="slots")
+        got = z_from_angles(ansatz, rows, slots=slots, base=base)
+        want = full_width_sweep(ansatz, rows, slots, base)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+                continue
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_matches_full_width_oracle_at_two_layers_of_ten(self):
+        # the wider cones (up to 8 qubits) of the default register at L=2
+        ansatz = StdAnsatz(10, 2)
+        rows = np.random.default_rng(9).uniform(-np.pi, np.pi, (3, ansatz.n_slots))
+        slots = list(np.random.default_rng(10).permutation(ansatz.n_slots))
+        for got, want in zip(z_from_angles(ansatz, rows, slots=slots),
+                             full_width_sweep(ansatz, rows, slots)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(n=st.integers(2, 12), layers=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_cones_are_closed(self, n, layers):
+        ops = StdAnsatz(n, layers).dressed_ops()
+        full = [(op.kind, op.target, op.control, op.angle_slot) for op in ops]
+        groups = light_cones(n, layers)
+        assert sorted(q for _, _, readout, _ in groups for q in readout) == list(range(n))
+        for qubits, local_ops, readout, local in groups:
+            assert [qubits[i] for i in local] == list(readout)
+            as_global = [(op.kind, qubits[op.target],
+                          None if op.control is None else qubits[op.control], op.angle_slot)
+                         for op in local_ops]
+            needed = [g for g in range(len(ops)) if forward_reach(ops, g) & set(readout)]
+            reached = set(readout).union(*({ops[g].target, ops[g].control} - {None}
+                                           for g in needed))
+            # every gate that can move a readout is in the group, in circuit
+            # order, and touches only the cone's qubits
+            assert is_subsequence([full[g] for g in needed], as_global)
+            assert is_subsequence(as_global, full)
+            assert reached <= set(qubits)
+            assert len(groups) == 1 or reached == set(qubits)
+
+    @pytest.mark.parametrize("n, layers", [(10, 3), (4, 1)])
+    def test_single_full_width_group(self, n, layers):
+        (qubits, ops, readout, local), = light_cones(n, layers)
+        assert qubits == readout == local == tuple(range(n))
+        assert ops == tuple(StdAnsatz(n, layers).dressed_ops())
+
+    @pytest.mark.parametrize("layers, amplitudes", [(1, 72), (2, 672)])
+    def test_default_register_splits_into_cones(self, layers, amplitudes):
+        assert sum(1 << len(group[0]) for group in light_cones(10, layers)) == amplitudes
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_kernel_traffic(self, monkeypatch, layers):
+        # amplitudes touched by RY for one full-gradient sample: the cones
+        # at L=1 stay under a tenth of full width; L=3 falls back to it
+        ansatz = StdAnsatz(10, layers)
+        row = np.random.default_rng(5).uniform(-np.pi, np.pi, (1, ansatz.n_slots))
+        traffic = {}
+        for module in (quantum_classifier, oracles):
+            def counting(amps, qubit, theta, kernel=module.ry_rows, name=module.__name__):
+                traffic[name] = traffic.get(name, 0) + amps.size
+                kernel(amps, qubit, theta)
+            monkeypatch.setattr(module, "ry_rows", counting)
+        slots = range(ansatz.n_slots)
+        z_from_angles(ansatz, row, slots=slots)
+        full_width_sweep(ansatz, row, slots)
+        cone, full = traffic[quantum_classifier.__name__], traffic[oracles.__name__]
+        if layers == 1:
+            assert cone < full / 10
+        else:
+            assert cone == full
 
 
 class TestBackward:

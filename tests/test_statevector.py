@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_circuit, simulate_dense, z_expectation_dense
+from oracles import (
+    apply_cz,
+    apply_ry,
+    expectation_z,
+    random_circuit,
+    simulate_dense,
+    z_expectation_dense,
+)
 from qpose.statevector import (
     GateKind,
     GateOp,
     QuantumState,
-    apply_cz,
-    apply_ry,
     cz,
     cz_rows,
-    expectation_z,
     run_circuit,
     ry,
     ry_rows,
