@@ -208,7 +208,7 @@ def _eval_dict(model, samples) -> dict:
 
 
 def cmd_gen(args) -> int:
-    from .data import Domain, dataset_sha256, generate_synthetic, write_csv
+    from .data import Domain, generate_synthetic, write_csv
     from .serialize import write_run_metadata
 
     out_dir = _out_dir(args)
@@ -216,7 +216,7 @@ def cmd_gen(args) -> int:
     dataset = generate_synthetic(args.n_source, args.n_target, shift)
     out = Path(args.out) if args.out else out_dir / "dataset.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(dataset, out)
+    dataset_hash = write_csv(dataset, out)
 
     src = dataset.class_counts(Domain.SOURCE)
     tgt = dataset.class_counts(Domain.TARGET)
@@ -237,7 +237,7 @@ def cmd_gen(args) -> int:
             "out": str(out),
         },
         seed=args.seed,
-        dataset_hash=dataset_sha256(dataset),
+        dataset_hash=dataset_hash,
         deterministic=args.deterministic,
         metrics={"n_source": int(src.sum()), "n_target": int(tgt.sum())},
     )

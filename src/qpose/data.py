@@ -16,11 +16,18 @@ through its anchor, which is what degrades a source-trained model.
 All randomness uses numpy's PCG64 generator with independent child streams
 spawned from one seed (anchors / source noise / target shift+noise), so
 e.g. changing the target sample count never perturbs the source samples.
+
+A dataset's canonical CSV text renders every feature with `repr(float)`,
+in blocks of CSV_BLOCK_ROWS rows taken from one feature matrix each.
+`write_csv` writes and hashes those blocks in one pass and returns the
+digest; `dataset_sha256` hashes the same blocks without writing, so the
+text is never held whole. `load_csv` streams the file a line at a time,
+parses a row's 36 features with one numpy conversion (it accepts and
+rejects the strings `float()` does) and names the line of any bad row.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from hashlib import sha256
@@ -263,28 +270,44 @@ def synthetic_anchors(shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "label,domain,session," + ",".join(f"b{i}" for i in range(N_FEATURES))
+CSV_BLOCK_ROWS = 512
 
 
-def _write_csv(dataset: Dataset, out: io.TextIOBase) -> None:
-    out.write(CSV_HEADER + "\n")
-    for s in dataset.samples:
-        feats = ",".join(repr(float(v)) for v in s.features)
-        out.write(f"{s.label},{s.domain.value},{s.session},{feats}\n")
+def _csv_blocks(dataset: Dataset):
+    """The canonical CSV text in pieces: the header line, then the rows in
+    blocks of CSV_BLOCK_ROWS, each rendered from one feature matrix."""
+    yield CSV_HEADER + "\n"
+    samples = dataset.samples
+    for start in range(0, len(samples), CSV_BLOCK_ROWS):
+        block = samples[start : start + CSV_BLOCK_ROWS]
+        rows = features_matrix(block).tolist()
+        yield "".join(f"{s.label},{s.domain.value},{s.session},{','.join(map(repr, row))}\n"
+                      for s, row in zip(block, rows))
 
 
-def write_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_csv(dataset, fh)
+def write_csv(dataset: Dataset, path) -> str:
+    """Write the canonical CSV text; returns its sha256, which equals
+    `dataset_sha256(dataset)`."""
+    digest = sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_blocks(dataset):
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def dataset_to_csv_text(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    _write_csv(dataset, buf)
-    return buf.getvalue()
+    return "".join(_csv_blocks(dataset))
 
 
 def dataset_sha256(dataset: Dataset) -> str:
-    return sha256(dataset_to_csv_text(dataset).encode("utf-8")).hexdigest()
+    """sha256 of the dataset's canonical CSV text: the bytes `write_csv`
+    writes, whatever file the dataset was read from."""
+    digest = sha256()
+    for text in _csv_blocks(dataset):
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def load_csv(path) -> Dataset:
@@ -309,7 +332,8 @@ def load_csv(path) -> Dataset:
                 label = int(fields[0])
                 domain = Domain(fields[1])
                 session = int(fields[2])
-                feats = np.array([float(v) for v in fields[3:]], dtype=np.float64)
+                # numpy parses each string as float() does
+                feats = np.array(fields[3:], dtype=np.float64)
                 samples.append(BeamSnrSample(feats, label, domain, session))
             except (ValueError, KeyError) as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc

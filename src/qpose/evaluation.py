@@ -1,10 +1,14 @@
 """Accuracy, confusion matrices, one-vs-rest ROC curves, and AUC.
 
 AUC uses the threshold-sweep trapezoid rule with midpoint credit for tied
-scores. The numerator is accumulated in exact integer arithmetic and
-divided once, so the result equals the brute-force pairwise comparison
+scores. `binary_roc` works array-at-a-time: one sort, tie groups from the
+starts of runs of equal scores, positives per group by `np.add.reduceat`
+and running totals by `np.cumsum`. The numerator 2 * P * N * area is an
+exact int64 sum, divided once, so the result equals the brute-force
+pairwise comparison
     AUC = P(score_pos > score_neg) + 0.5 * P(score_pos == score_neg)
-bit for bit, not merely within tolerance.
+bit for bit, not merely within tolerance. Scores must be finite: NaN has
+no place in a ranking.
 
 Micro AUC pools all 8N one-vs-rest (score, is-this-class) pairs into a
 single binary problem; macro AUC is the unweighted mean of the 8 per-class
@@ -56,37 +60,35 @@ class EvalReport:
 def binary_roc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     """ROC curve and exact AUC for one binary problem.
 
-    scores: higher means more positive. positive: boolean mask. Needs at
-    least one positive and one negative; a class absent from the evaluation
-    set gets the uninformative convention AUC=0.5 upstream in `evaluate`.
+    scores: finite, higher means more positive. positive: boolean mask of
+    the same length. Needs at least one positive and one negative; a class
+    absent from the evaluation set gets the uninformative convention
+    AUC=0.5 upstream in `evaluate`.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
+    if scores.ndim != 1 or positive.shape != scores.shape:
+        raise ValueError("ROC needs one positive flag per score in a 1-d array")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    p = positive[order]
-    # group boundaries of tied scores
-    boundary = np.flatnonzero(np.diff(s)) + 1
-    group_pos = [int(g.sum()) for g in np.split(p, boundary)]
-    group_tot = [len(g) for g in np.split(p, boundary)]
-
-    tp = fp = 0
-    numerator = 0  # 2 * P * N * area, exact integer
-    fprs = [0.0]
-    tprs = [0.0]
-    for g_pos, g_tot in zip(group_pos, group_tot):
-        g_neg = g_tot - g_pos
-        numerator += g_neg * (2 * tp + g_pos)
-        tp += g_pos
-        fp += g_neg
-        fprs.append(fp / n_neg)
-        tprs.append(tp / n_pos)
+    # one group per run of tied scores, in descending score order
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))
+    group_pos = np.add.reduceat(positive[order].astype(np.int64), starts)
+    group_neg = np.diff(np.append(starts, s.size)) - group_pos
+    tp = np.cumsum(group_pos)
+    fp = np.cumsum(group_neg)
+    # 2 * P * N * area, exact: every term is at most 2 * P * g_neg, so the
+    # int64 sum stays below 2 * P * N
+    numerator = int(np.dot(group_neg, 2 * (tp - group_pos) + group_pos))
     auc = numerator / (2 * n_pos * n_neg)
-    return RocCurve(fpr=np.array(fprs), tpr=np.array(tprs), auc=auc)
+    return RocCurve(fpr=np.concatenate(([0.0], fp / n_neg)),
+                    tpr=np.concatenate(([0.0], tp / n_pos)), auc=auc)
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -103,7 +105,8 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
     n = scores.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate an empty sample set")
-    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= N_CLASSES:
+    if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+            or labels.min() < 0 or labels.max() >= N_CLASSES):
         raise ValueError("labels must be one class id per score row")
 
     predictions = np.argmax(scores, axis=1)
@@ -232,9 +235,8 @@ def write_roc_csvs(report: EvalReport, directory) -> list[Path]:
     paths = []
     for c, rc in enumerate(report.per_class):
         path = directory / f"roc_class_{c}.csv"
-        lines = ["fpr,tpr"]
-        lines += [f"{repr(float(f))},{repr(float(t))}" for f, t in zip(rc.fpr, rc.tpr)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = map(",".join, zip(map(repr, rc.fpr.tolist()), map(repr, rc.tpr.tolist())))
+        path.write_text("fpr,tpr\n" + "\n".join(rows) + "\n", encoding="utf-8")
         paths.append(path)
     return paths
 

@@ -97,14 +97,42 @@ class TrainTrace:
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A batch loss came out NaN or infinite; training stops there."""
+    """A batch loss, a gradient, an optimizer moment or a parameter came out
+    NaN or infinite; training stops there."""
+
+
+def _first_nonfinite(arrays: dict, skip) -> str | None:
+    return next((name for name, a in arrays.items()
+                 if name not in skip and not np.isfinite(a).all()), None)
+
+
+def _step(model, optimizer: AdamW, x, y, needed) -> tuple[float, str | None]:
+    """One optimizer step with numpy's overflow and invalid-value warnings
+    off. Returns the batch loss and what came out non-finite, if anything:
+    the loss or a gradient (the optimizer then does not step), or a moment
+    or a parameter after the step."""
+    frozen = optimizer.frozen
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = model.loss_and_grad(x, y, needed=needed)
+        if not np.isfinite(loss):
+            return loss, f"batch loss is {loss}"
+        if name := _first_nonfinite(grads, frozen):
+            return loss, f"gradient of {name} is non-finite"
+        optimizer.step(model.params, grads)
+        for what, arrays in (("AdamW first moment", optimizer.m),
+                             ("AdamW second moment", optimizer.v),
+                             ("parameter", model.params)):
+            if name := _first_nonfinite(arrays, frozen):
+                return loss, f"{what} of {name} is non-finite"
+    return loss, None
 
 
 def _sgd_epochs(model, samples, *, epochs, batch_size, lr, weight_decay,
                 seed, frozen, eval_samples) -> TrainTrace:
     """Shared mini-batch loop. The last incomplete batch is kept; per-epoch
-    loss is the mean over batch losses. A non-finite batch loss raises
-    `NonFiniteLossError` before the optimizer steps on it."""
+    loss is the mean over batch losses. A step that yields a non-finite
+    loss, gradient, moment or parameter raises `NonFiniteLossError` naming
+    it, before the model is used again."""
     x = features_matrix(samples)
     y = labels_vector(samples)
     n = len(samples)
@@ -117,11 +145,10 @@ def _sgd_epochs(model, samples, *, epochs, batch_size, lr, weight_decay,
         batch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = model.loss_and_grad(x[idx], y[idx], needed=needed)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"batch loss is {loss} at epoch {epoch}, step "
-                                         f"{trace.total_steps} (lr {lr:g}); training diverged")
-            optimizer.step(model.params, grads)
+            loss, bad = _step(model, optimizer, x[idx], y[idx], needed)
+            if bad is not None:
+                raise NonFiniteLossError(f"{bad} at epoch {epoch}, step {trace.total_steps}"
+                                         f" (lr {lr:g}); training diverged")
             trace.total_steps += 1
             batch_losses.append(loss)
         trace.records.append(

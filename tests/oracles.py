@@ -11,6 +11,10 @@ The exceptions are the single-state helpers (`apply_ry`, `apply_cz`,
 `expectation_z`) and `full_width_sweep`: they run the statevector row
 kernels, which the tests check against the Kronecker oracle, and serve as
 the slower reference for the light-cone evaluation in `z_from_angles`.
+
+`loop_binary_roc` and `csv_text_by_value` are the loop forms of the
+array-at-a-time ROC sweep and CSV rendering in the package: one tie group
+and one float at a time, with Python integers.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
+from qpose.data import CSV_HEADER
 from qpose.statevector import (
     GateKind,
     GateOp,
@@ -171,6 +176,41 @@ def pairwise_auc(scores, positive) -> float:
     greater = sum(1 for sp in pos for sn in neg if sp > sn)
     equal = sum(1 for sp in pos for sn in neg if sp == sn)
     return float(Fraction(2 * greater + equal, 2 * len(pos) * len(neg)))
+
+
+def loop_binary_roc(scores, positive):
+    """(fpr, tpr, auc) of the threshold sweep, one tie group at a time, with
+    the exact numerator 2 * P * N * area in Python integers."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    p = positive[order]
+    boundary = np.flatnonzero(np.diff(s)) + 1
+    tp = fp = 0
+    numerator = 0
+    fprs = [0.0]
+    tprs = [0.0]
+    for group in np.split(p, boundary):
+        g_pos = int(group.sum())
+        g_neg = len(group) - g_pos
+        numerator += g_neg * (2 * tp + g_pos)
+        tp += g_pos
+        fp += g_neg
+        fprs.append(fp / n_neg)
+        tprs.append(tp / n_pos)
+    return np.array(fprs), np.array(tprs), numerator / (2 * n_pos * n_neg)
+
+
+def csv_text_by_value(dataset) -> str:
+    """The canonical dataset CSV text, one `repr(float(v))` per feature."""
+    lines = [CSV_HEADER]
+    for s in dataset.samples:
+        feats = ",".join(repr(float(v)) for v in s.features)
+        lines.append(f"{s.label},{s.domain.value},{s.session},{feats}")
+    return "\n".join(lines) + "\n"
 
 
 def central_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -131,6 +131,16 @@ class TestTrain:
         assert "1e+30" in doc["message"]
         assert not (out / "checkpoint.json").exists()
 
+    def test_diverging_training_prints_only_the_error_document(self, dataset, tmp_path):
+        proc = run_proc(["train", "--seed", "1", "--data", str(dataset), "--model", "dnn",
+                         "--lr", "1e30", "--epochs", "20", "--out-dir", str(tmp_path / "div")])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        doc = json.loads(lines[0])
+        assert doc["error"] == "NonFiniteLossError"
+        assert "AdamW second moment" in doc["message"]
+
 
 class TestEval:
     def test_perfect_fit_scores_one(self, dataset, tmp_path):

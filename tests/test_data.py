@@ -1,11 +1,18 @@
 """Dataset model, CSV round-trip, synthetic generator, stratified splits."""
 
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import csv_text_by_value
 from qpose.data import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     CsvFormatError,
     BeamSnrSample,
@@ -18,6 +25,7 @@ from qpose.data import (
     TARGET_CLASS_WEIGHTS,
     apportion,
     dataset_sha256,
+    dataset_to_csv_text,
     features_matrix,
     generate_synthetic,
     load_csv,
@@ -98,6 +106,27 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["1_0", " 1.5 ", "\t2", "+1", ".5", "5.", "-0.0", "1e-400",
+                                      "nan", "-inf", "1e500", "0x1p3", "", "  ", "1.5e",
+                                      "1__0", "_1"])
+    def test_feature_parse_agrees_with_float(self, tmp_path, text):
+        feats = ["0.0"] * N_FEATURES
+        feats[4] = text
+        path = tmp_path / "probe.csv"
+        good = "0,source,1," + ",".join(["0.0"] * N_FEATURES)
+        path.write_text(f"{CSV_HEADER}\n{good}\n0,source,1,{','.join(feats)}\n",
+                        encoding="utf-8")
+        try:
+            want = float(text)
+        except ValueError:
+            want = None
+        if want is None or not np.isfinite(want):
+            with pytest.raises(CsvFormatError, match="line 3"):
+                load_csv(path)
+        else:
+            got = load_csv(path).samples[1].features[4]
+            assert np.float64(want).tobytes() == got.tobytes()
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("nope,nope\n", encoding="utf-8")
@@ -107,6 +136,58 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
+
+
+# Values where repr switches notation (1e-4, 1e16), the subnormal and
+# normal extremes, and signed zero.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4,
+               9.999999999999999e-05, 1e16, 9999999999999998.0, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, -1e-300]
+
+FEATURE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def rows_dataset(features, meta):
+    return Dataset([BeamSnrSample(f, label, domain, session)
+                    for f, (label, domain, session) in zip(features, meta)])
+
+
+class TestCanonicalText:
+    def test_text_and_file_equal_per_value_oracle(self, tmp_path):
+        ds = generate_synthetic(2 * CSV_BLOCK_ROWS, 100, ShiftSpec(seed=5))
+        feats = np.stack([s.features for s in ds.samples])
+        feats.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
+        ds = rows_dataset(feats, [(s.label, s.domain, s.session) for s in ds.samples])
+        want = csv_text_by_value(ds)
+        assert dataset_to_csv_text(ds) == want
+        path = tmp_path / "ds.csv"
+        digest = write_csv(ds, path)
+        assert path.read_bytes() == want.encode("utf-8")
+        assert digest == dataset_sha256(ds) == hashlib.sha256(want.encode("utf-8")).hexdigest()
+
+    def test_empty_dataset_is_header_only(self, tmp_path):
+        assert dataset_to_csv_text(Dataset([])) == CSV_HEADER + "\n"
+        assert write_csv(Dataset([]), tmp_path / "e.csv") == dataset_sha256(Dataset([]))
+
+    @given(features=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(N_FEATURES)),
+                               elements=FEATURE_FLOATS),
+           meta=st.lists(st.tuples(st.integers(0, N_CLASSES - 1), st.sampled_from(Domain),
+                                   st.integers(-3, 10**6)), min_size=40, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, features, meta):
+        ds = rows_dataset(features, meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.csv"
+            digest = write_csv(ds, path)
+            data = path.read_bytes()
+            back = load_csv(path)
+        assert len(back.samples) == len(ds.samples)
+        for a, b in zip(ds.samples, back.samples):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert (a.label, a.domain, a.session) == (b.label, b.domain, b.session)
+        assert digest == dataset_sha256(ds) == dataset_sha256(back)
+        assert digest == hashlib.sha256(data).hexdigest()
 
 
 class TestGenerator:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pairwise_auc
+from oracles import loop_binary_roc, pairwise_auc
 from qpose.data import (
     BeamSnrSample,
     Domain,
@@ -104,6 +104,32 @@ class TestBinaryRoc:
             assert binary_roc(scores, labels).auc == float(pairwise_auc(scores, labels))
 
 
+    @given(n=st.integers(2, 5000), grid=st.sampled_from([2, 3, 7, 50, 0]),
+           seed=st.integers(0, 2**32 - 1), pos_rate=st.floats(0.01, 0.99))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_loop_oracle_bitwise(self, n, grid, seed, pos_rate):
+        rng = np.random.default_rng(seed)
+        # grid 0 draws continuous scores; the others force ties, and signed
+        # zeros must fall into one tie group with +0.0
+        scores = rng.normal(size=n) if grid == 0 else rng.integers(-grid, grid + 1, n) / grid
+        scores[rng.random(n) < 0.2] = -0.0
+        positive = rng.random(n) < pos_rate
+        positive[:2] = [True, False]
+        got = binary_roc(scores, positive)
+        fpr, tpr, auc = loop_binary_roc(scores, positive)
+        assert np.array_equal(got.fpr, fpr) and np.array_equal(got.tpr, tpr)
+        assert got.auc == auc
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            binary_roc(np.array([0.1, bad, 0.3]), np.array([True, False, True]))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one positive flag per score"):
+            binary_roc(np.array([0.1, 0.2, 0.3]), np.array([True, False]))
+
+
 class TestEvaluateScores:
     def test_perfect_classifier(self):
         labels = np.arange(N_CLASSES).repeat(3)
@@ -177,6 +203,11 @@ class TestEvaluateScores:
         scores[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             evaluate_scores(scores, labels)
+
+    def test_non_integer_labels_rejected(self):
+        scores = np.eye(N_CLASSES)[:4]
+        with pytest.raises(ValueError, match="one class id per score row"):
+            evaluate_scores(scores, np.array([0.0, 1.5, 2, 3]))
 
     def test_evaluate_uses_model_scores(self):
         labels = [0, 1, 2]
@@ -273,6 +304,14 @@ class TestWriters:
             tpr = [float(r["tpr"]) for r in rows]
             assert fpr[0] == tpr[0] == 0.0
             assert fpr[-1] == tpr[-1] == 1.0
+
+    def test_roc_csv_bytes_equal_per_value_repr(self, tmp_path):
+        report = self.report_fixture()
+        write_roc_csvs(report, tmp_path)
+        for c, rc in enumerate(report.per_class):
+            want = "fpr,tpr\n" + "".join(f"{repr(float(f))},{repr(float(t))}\n"
+                                         for f, t in zip(rc.fpr, rc.tpr))
+            assert (tmp_path / f"roc_class_{c}.csv").read_bytes() == want.encode("utf-8")
 
     def test_curve_csv(self, tmp_path):
         pool = make_samples([0, 1, 2, 3, 4, 5, 6, 7] * 4)

@@ -1,5 +1,7 @@
 """Pretraining loop, freeze contracts, repeated transfer runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qpose.data import (
     Dataset,
     Domain,
     FeatureNormalizer,
+    N_CLASSES,
     N_FEATURES,
     ShiftSpec,
     generate_synthetic,
@@ -16,6 +19,7 @@ from qpose.data import (
 from qpose.neural import DnnConfig, DnnModel
 from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
 from qpose.training import (
+    NonFiniteLossError,
     TrainConfig,
     TransferConfig,
     pretrain,
@@ -31,6 +35,22 @@ def small_dnn(seed=0):
 
 def one_sample():
     return [BeamSnrSample(np.zeros(N_FEATURES), 0, Domain.SOURCE, 0)]
+
+
+class FixedGradient:
+    """Model with one parameter vector whose loss and gradient are the
+    same at every step."""
+
+    def __init__(self, grad, init=0.0, loss=1.0):
+        self.params = {"w": np.full(3, init)}
+        self.grad = np.asarray(grad, dtype=np.float64)
+        self.loss = loss
+
+    def loss_and_grad(self, x, labels, needed=None):
+        return self.loss, {"w": self.grad.copy()}
+
+    def predict_proba(self, x):
+        return np.full((len(x), N_CLASSES), 1.0 / N_CLASSES)
 
 
 def params_snapshot(model):
@@ -111,6 +131,19 @@ class TestPretrain:
         order = np.lexsort(visited.T)
         order_w = np.lexsort(want.T)
         assert (visited[order] == want[order_w]).all()
+
+    @pytest.mark.parametrize("grad, init, loss, lr, named", [
+        ([0.0, 0.0, 0.0], 0.0, np.nan, 0.02, "batch loss is nan"),
+        ([0.0, np.inf, 0.0], 0.0, 1.0, 0.02, "gradient of w is non-finite"),
+        ([0.0, 1e200, 0.0], 0.0, 1.0, 0.02, "AdamW second moment of w is non-finite"),
+        ([1.0, 1.0, 1.0], 1e300, 1.0, 1e10, "parameter of w is non-finite"),
+    ])
+    def test_nonfinite_step_named_without_warnings(self, grad, init, loss, lr, named):
+        model = FixedGradient(grad, init, loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLossError, match=f"^{named} at epoch 0, step 0 "):
+                pretrain(model, one_sample(), TrainConfig(epochs=3, lr=lr, weight_decay=1.0))
 
     def test_in_domain_accuracy_reaches_95(self):
         # committed regression fixture: separable synthetic source data
