@@ -77,9 +77,6 @@ class KnnModel:
             scores[:, c] = (votes == c).sum(axis=1)
         return scores / self.k
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1)
-
 
 @dataclass(eq=False)
 class GnbModel:
@@ -152,6 +149,3 @@ class GnbModel:
         lp -= lp.max(axis=1, keepdims=True)
         p = np.exp(lp)
         return p / p.sum(axis=1, keepdims=True)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1)

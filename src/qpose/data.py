@@ -113,12 +113,8 @@ class FeatureNormalizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, samples_or_matrix) -> "FeatureNormalizer":
-        x = (
-            samples_or_matrix
-            if isinstance(samples_or_matrix, np.ndarray)
-            else features_matrix(samples_or_matrix)
-        )
+    def fit(cls, samples) -> "FeatureNormalizer":
+        x = features_matrix(samples)
         if x.shape[0] == 0:
             raise ValueError("cannot fit a normalizer on zero samples")
         mean = x.mean(axis=0)
@@ -254,16 +250,6 @@ def generate_synthetic(
     return Dataset(samples)
 
 
-def synthetic_anchors(shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(source anchors, target anchors) the generator would use for ``shift``."""
-    anchors_ss, _, target_ss = np.random.SeedSequence(shift.seed).spawn(3)
-    anchors = np.random.default_rng(anchors_ss).normal(0.0, ANCHOR_SIGMA, (N_CLASSES, N_FEATURES))
-    rng_tgt = np.random.default_rng(target_ss)
-    gain = rng_tgt.normal(1.0, shift.feature_gain_spread, N_FEATURES)
-    offset = rng_tgt.normal(0.0, shift.mean_offset_scale, N_FEATURES)
-    return anchors, gain * anchors + offset
-
-
 # ---------------------------------------------------------------------------
 # CSV schema: header `label,domain,session,b0,...,b35`, UTF-8, LF endings.
 # Features are written with repr(float), which round-trips bit-exactly.
@@ -295,10 +281,6 @@ def write_csv(dataset: Dataset, path) -> str:
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()
-
-
-def dataset_to_csv_text(dataset: Dataset) -> str:
-    return "".join(_csv_blocks(dataset))
 
 
 def dataset_sha256(dataset: Dataset) -> str:

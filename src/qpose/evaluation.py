@@ -148,9 +148,13 @@ def evaluate(model, samples) -> EvalReport:
 
 
 def accuracy_of(model, samples) -> float:
+    """Fraction of ``samples`` whose argmax score is the label; non-finite
+    scores raise ValueError, as in `evaluate_scores`."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample set")
     scores = model.predict_proba(features_matrix(samples))
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     return float(np.mean(np.argmax(scores, axis=1) == labels_vector(samples)))
 
 

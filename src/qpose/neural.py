@@ -171,11 +171,8 @@ class DnnModel:
     def checkpoint_sections(self) -> tuple[dict, dict]:
         return vars(self.config).copy(), {k: v.tolist() for k, v in self.params.items()}
 
-    def n_params(self) -> int:
-        return n_params(self.params)
-
     def param_counts(self) -> dict[str, int]:
-        return {"total_params": self.n_params()}
+        return {"total_params": n_params(self.params)}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         out, _ = dnn_forward(self.params, self.normalizer.transform(x), self.config)
@@ -187,10 +184,7 @@ class DnnModel:
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray, needed=None):
         """Mean batch loss and gradients. ``needed`` (names or None for all)
         restricts which gradients are worth computing; extras are harmless."""
-        loss, grads = dnn_loss_and_grad(
-            self.params, self.normalizer.transform(x), labels, self.config
-        )
-        return loss, grads
+        return dnn_loss_and_grad(self.params, self.normalizer.transform(x), labels, self.config)
 
     def copy(self) -> "DnnModel":
         return DnnModel(
@@ -201,19 +195,21 @@ class DnnModel:
 
 
 # ---------------------------------------------------------------------------
-# Decoupled AdamW: p <- p - lr*m_hat/(sqrt(v_hat)+eps) - lr*wd*p. Decay is
-# applied to weights and biases uniformly; frozen parameters (by name) keep
-# both their values and their moments untouched.
+# Decoupled AdamW: p <- p - lr*m_hat/(sqrt(v_hat)+EPS) - lr*wd*p, with the
+# usual moment decays BETA1 and BETA2. Decay is applied to weights and biases
+# uniformly; frozen parameters (by name) keep both their values and their
+# moments untouched.
 # ---------------------------------------------------------------------------
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class AdamW:
     lr: float = 0.02
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     frozen: frozenset[str] = frozenset()
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -222,8 +218,6 @@ class AdamW:
     def __post_init__(self) -> None:
         if self.lr < 0 or self.weight_decay < 0:
             raise ValueError("lr and weight_decay must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ValueError("betas in [0, 1), eps positive")
         self.frozen = frozenset(self.frozen)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -242,11 +236,11 @@ class AdamW:
                 self.v[name] = np.zeros_like(p)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
             p *= 1.0 - self.lr * self.weight_decay
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

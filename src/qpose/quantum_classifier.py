@@ -6,13 +6,15 @@ entanglers and trainable RY rotations, per-qubit Pauli-Z expectation
 readout, and an output linear layer (n -> 8 class logits). The ansatz
 carries exactly 2(n-1)L trainable angles.
 
-Gradients of the quantum block use the parameter-shift rule: for any RY
-angle phi, d<Z>/dphi = (<Z>(phi + pi/2) - <Z>(phi - pi/2)) / 2, which is
-exact (not a finite-difference approximation). A sample's full gradient
-takes its base circuit plus two shifted circuits per angle slot, 1 + 2K
-circuit evaluations for K = 2(n-1)L + n slots (57 at n=10, L=1; 37 when
-only the ansatz angles train); a module-level counter tracks this so tests
-can pin the cost down.
+A model is used through two methods, like every model kind:
+`predict_proba(x)` and `loss_and_grad(x, labels, needed)`. Gradients of the
+quantum block use the parameter-shift rule: for any RY angle phi,
+d<Z>/dphi = (<Z>(phi + pi/2) - <Z>(phi - pi/2)) / 2, which is exact (not a
+finite-difference approximation). A sample's full gradient takes its base
+circuit plus two shifted circuits per angle slot, 1 + 2K circuit
+evaluations for K = 2(n-1)L + n slots (57 at n=10, L=1; 37 when only the
+ansatz angles train); a module-level counter tracks this so tests can pin
+the cost down.
 
 The circuits are not simulated on all n qubits. <Z_q> depends only on the
 gates in qubit q's backward light cone (the causal-cone argument for local
@@ -121,7 +123,7 @@ class StdAnsatz:
 _CHUNK_AMPLITUDES = 32 * 1024
 
 
-def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool = True):
+def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None):
     """Per-qubit Z expectations of the dressed circuit.
 
     angles: (rows, n_qubits + n_theta) with encoding angles first, or a
@@ -130,10 +132,10 @@ def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool 
     Without ``slots`` this returns the (rows, n_qubits) expectations. With a
     sequence of K distinct angle slots it also evaluates, for every row and
     every listed slot, the two circuits with that angle shifted by +pi/2 and
-    -pi/2, and returns ``(z, z_plus, z_minus)``: z is (rows, n_qubits), or
-    None when ``base`` is False, and z_plus / z_minus are (rows, K,
-    n_qubits) in the order of ``slots``. Each evaluated circuit counts once
-    toward `evaluation_count`, so a row costs 2K, plus 1 with ``base``.
+    -pi/2, and returns ``(z, z_plus, z_minus)``: z is (rows, n_qubits) and
+    z_plus / z_minus are (rows, K, n_qubits) in the order of ``slots``. Each
+    evaluated circuit counts once toward `evaluation_count`, so a row costs
+    1 + 2K.
     """
     global _eval_count
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
@@ -143,13 +145,11 @@ def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None, base: bool 
     shifted = [] if slots is None else [int(j) for j in slots]
     if len(set(shifted)) != len(shifted) or not all(0 <= j < ansatz.n_slots for j in shifted):
         raise ValueError(f"slots must be distinct angle slots in 0..{ansatz.n_slots - 1}")
-    if slots is None and not base:
-        raise ValueError("base=False needs shifted slots to evaluate")
     out = _staircase_sweep(ansatz, angles, shifted)
-    _eval_count += rows * (2 * len(shifted) + int(base))
+    _eval_count += rows * (1 + 2 * len(shifted))
     if slots is None:
         return out[0]
-    return (out[0] if base else None), out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
+    return out[0], out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=None)
@@ -303,17 +303,9 @@ class DressedQnnModel:
         return config, {k: v.tolist() for k, v in self.params.items()}
 
     def param_counts(self) -> dict[str, int]:
-        return {"quantum_params": self.n_quantum_params(),
-                "classical_params": self.n_classical_params(), "total_params": self.n_params()}
-
-    def n_quantum_params(self) -> int:
-        return self.params["theta"].size
-
-    def n_classical_params(self) -> int:
-        return self.n_params() - self.n_quantum_params()
-
-    def n_params(self) -> int:
-        return n_params(self.params)
+        total, quantum = n_params(self.params), self.params["theta"].size
+        return {"quantum_params": quantum, "classical_params": total - quantum,
+                "total_params": total}
 
     def encoding_angles(self, x: np.ndarray) -> np.ndarray:
         """(B, n_qubits) RY encoding angles for raw feature rows."""
@@ -326,17 +318,56 @@ class DressedQnnModel:
         theta = np.broadcast_to(self.params["theta"], (encoding.shape[0], self.ansatz.n_theta))
         return np.concatenate([encoding, theta], axis=1)
 
-    def z_values(self, x: np.ndarray) -> np.ndarray:
-        return z_from_angles(self.ansatz, self._angle_rows(self.encoding_angles(x)))
-
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.z_values(x) @ self.params["out.w"] + self.params["out.b"]
+        z = z_from_angles(self.ansatz, self._angle_rows(self.encoding_angles(x)))
+        return z @ self.params["out.w"] + self.params["out.b"]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(x))
 
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray, needed=None):
-        return qnn_loss_and_grad_batch(self, x, labels, needed=needed)
+        """Mean softmax cross-entropy over a batch and its gradients.
+
+        needed: iterable of parameter names to differentiate (None = all).
+        Restricting to {"theta"} skips the encoding-angle shifts entirely,
+        which is what makes fine-tuning cheap.
+        """
+        names = set(self.params) if needed is None else set(needed)
+        n = self.ansatz.n_qubits
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        labels = np.atleast_1d(np.asarray(labels))
+
+        slots: list[int] = []
+        want_encoding = "in.w" in names or "in.b" in names
+        if want_encoding:
+            slots.extend(range(n))
+        want_theta = "theta" in names
+        if want_theta:
+            slots.extend(range(n, self.ansatz.n_slots))
+        rows = self._angle_rows(self.encoding_angles(x))
+        z, z_plus, z_minus = z_from_angles(self.ansatz, rows, slots=slots)
+        logits = z @ self.params["out.w"] + self.params["out.b"]
+        loss, grad_logits = softmax_cross_entropy(logits, labels)
+
+        grads: dict[str, np.ndarray] = {}
+        if "out.w" in names:
+            grads["out.w"] = z.T @ grad_logits
+        if "out.b" in names:
+            grads["out.b"] = grad_logits.sum(axis=0)
+
+        upstream_z = grad_logits @ self.params["out.w"].T
+        if slots:
+            dz = (z_plus - z_minus) / 2.0
+            slot_grad = np.einsum("bkq,bq->bk", dz, upstream_z)
+            k0 = 0
+            if want_encoding:
+                enc_grad = slot_grad[:, :n]
+                grads["in.w"] = self.normalizer.transform(x).T @ enc_grad
+                grads["in.b"] = enc_grad.sum(axis=0)
+                k0 = n
+            if want_theta:
+                grads["theta"] = slot_grad[:, k0:].sum(axis=0)
+        return loss, grads
 
     def copy(self) -> "DressedQnnModel":
         return DressedQnnModel(
@@ -344,89 +375,3 @@ class DressedQnnModel:
             params={k: v.copy() for k, v in self.params.items()},
             normalizer=self.normalizer,
         )
-
-
-def qnn_forward(model: DressedQnnModel, x: np.ndarray) -> np.ndarray:
-    """Class logits for one 36-dim feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("qnn_forward takes a single feature vector")
-    return model.logits(x)[0]
-
-
-def param_shift_grad(model: DressedQnnModel, x: np.ndarray, upstream: np.ndarray):
-    """Gradients of upstream . logits over theta and the encoding angles.
-
-    upstream is the 8-dim cotangent on the logits; it is pulled back through
-    the output layer and the parameter-shift derivatives. Costs exactly
-    2 * (n_theta + n_qubits) circuit evaluations.
-
-    Returns (theta_grad, encoding_grad).
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.params["out.b"].size,):
-        raise ValueError(f"upstream must have shape {model.params['out.b'].shape}")
-    rows = model._angle_rows(model.encoding_angles(x))
-    _, z_plus, z_minus = z_from_angles(model.ansatz, rows, slots=range(model.ansatz.n_slots),
-                                       base=False)
-    dz = (z_plus[0] - z_minus[0]) / 2.0
-    upstream_z = model.params["out.w"] @ upstream
-    grad = dz @ upstream_z
-    n = model.ansatz.n_qubits
-    return grad[n:], grad[:n]
-
-
-def qnn_loss_and_grad_batch(model: DressedQnnModel, x, labels, needed=None):
-    """Mean softmax cross-entropy over a batch and its gradients.
-
-    needed: iterable of parameter names to differentiate (None = all).
-    Restricting to {"theta"} skips the encoding-angle shifts entirely,
-    which is what makes fine-tuning cheap.
-    """
-    names = set(model.params) if needed is None else set(needed)
-    n = model.ansatz.n_qubits
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
-
-    slots: list[int] = []
-    want_encoding = "in.w" in names or "in.b" in names
-    if want_encoding:
-        slots.extend(range(n))
-    want_theta = "theta" in names
-    if want_theta:
-        slots.extend(range(n, model.ansatz.n_slots))
-    rows = model._angle_rows(model.encoding_angles(x))
-    z, z_plus, z_minus = z_from_angles(model.ansatz, rows, slots=slots)
-    logits = z @ model.params["out.w"] + model.params["out.b"]
-    loss, grad_logits = softmax_cross_entropy(logits, labels)
-
-    grads: dict[str, np.ndarray] = {}
-    if "out.w" in names:
-        grads["out.w"] = z.T @ grad_logits
-    if "out.b" in names:
-        grads["out.b"] = grad_logits.sum(axis=0)
-
-    upstream_z = grad_logits @ model.params["out.w"].T
-    if slots:
-        dz = (z_plus - z_minus) / 2.0
-        slot_grad = np.einsum("bkq,bq->bk", dz, upstream_z)
-        k0 = 0
-        if want_encoding:
-            enc_grad = slot_grad[:, :n]
-            grads["in.w"] = model.normalizer.transform(x).T @ enc_grad
-            grads["in.b"] = enc_grad.sum(axis=0)
-            k0 = n
-        if want_theta:
-            grads["theta"] = slot_grad[:, k0:].sum(axis=0)
-    return loss, grads
-
-
-def qnn_backward(model: DressedQnnModel, x: np.ndarray, label: int):
-    """Loss and full parameter gradient for a single labeled sample."""
-    label = int(label)
-    if not 0 <= label < model.params["out.b"].size:
-        raise ValueError(f"label {label} outside 0..{model.params['out.b'].size - 1}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("qnn_backward takes a single feature vector")
-    return qnn_loss_and_grad_batch(model, x[None, :], np.array([label]))

@@ -1,26 +1,32 @@
 """Pretraining on source labels and few-shot transfer fine-tuning.
 
 `fit_model` is the one place that builds a model by kind: it fits the
-normalizer, creates the model and pretrains it when the kind trains.
+normalizer, creates the model and pretrains it when the kind trains. Both
+pretraining and fine-tuning run one mini-batch loop, configured by a
+`TrainConfig` (`TransferConfig` adds the choice of the few-shot subset), and
+reach the model only through `loss_and_grad` and `predict_proba`. A
+non-finite loss, gradient, optimizer moment, parameter or per-epoch
+evaluation score stops the loop with `NonFiniteLossError`.
 
 The transfer protocol: a model pretrained on the source domain is fine-tuned
-on a small labeled target subset while its feature-facing layers stay
-frozen. For the quantum model only the circuit angles theta train (input and
-output linear layers and the normalizer are fixed); for the DNN the residual
-blocks train while the first and last layers are fixed. Frozen parameters
-are bitwise invariant, not merely small-gradient. Optimizer moments are
-reset when fine-tuning starts: the pretraining moments describe curvature of
-layers that no longer move.
+on a small labeled target subset while the parameters its kind lists in
+`transfer_frozen` stay fixed. For the quantum model only the circuit angles
+theta train (input and output linear layers and the normalizer are fixed);
+for the DNN the residual blocks train while the first and last layers are
+fixed. Frozen parameters are bitwise invariant, not merely small-gradient.
+Optimizer moments are reset when fine-tuning starts: the pretraining moments
+describe curvature of layers that no longer move.
 
 `run_repeated` reruns the fine-tuning several times to report mean and
-standard deviation; repeats differ only in their split/shuffle seeds, either
-resampling the transfer subset each time (default) or keeping the subset and
-reshuffling batches.
+standard deviation; repeats differ only in the seeds spawned from the
+config's seed, either resampling the transfer subset each time (default) or
+keeping the subset and reshuffling batches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from .quantum_classifier import DressedQnnModel, StdAnsatz
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of the mini-batch loop, shared by pretraining and transfer."""
+
     batch_size: int = 100
     epochs: int = 100
     lr: float = 0.02
@@ -42,37 +50,31 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be nonnegative")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
-class TransferConfig:
+class TransferConfig(TrainConfig):
     """Few-shot fine-tuning settings. Exactly one of n_transfer /
-    transfer_fraction picks the labeled target subset size. freeze=None
-    means the model kind's default policy."""
+    transfer_fraction picks the labeled target subset size; the model kind
+    decides which parameters stay frozen."""
 
+    epochs: int = 50
     n_transfer: int | None = None
     transfer_fraction: float | None = None
-    batch_size: int = 100
-    epochs: int = 50
-    lr: float = 0.02
-    weight_decay: float = 1e-4
-    freeze: frozenset[str] | None = None
-    seed: int = 0
     resample: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (self.n_transfer is None) == (self.transfer_fraction is None):
             raise ValueError("give exactly one of n_transfer or transfer_fraction")
         if self.n_transfer is not None and self.n_transfer < 1:
             raise ValueError("n_transfer must be >= 1")
         if self.transfer_fraction is not None and not 0.0 < self.transfer_fraction <= 1.0:
             raise ValueError("transfer_fraction must be in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,11 @@ class TrainTrace:
     def losses(self) -> list[float]:
         return [r.mean_batch_loss for r in self.records]
 
-    @property
-    def accuracies(self) -> list[float]:
-        return [r.eval_accuracy for r in self.records]
-
 
 class NonFiniteLossError(ArithmeticError):
-    """A batch loss, a gradient, an optimizer moment or a parameter came out
-    NaN or infinite; training stops there."""
+    """A batch loss, a gradient, an optimizer moment, a parameter or an
+    epoch's evaluation scores came out NaN or infinite; training stops
+    there."""
 
 
 def _first_nonfinite(arrays: dict, skip) -> str | None:
@@ -127,37 +126,39 @@ def _step(model, optimizer: AdamW, x, y, needed) -> tuple[float, str | None]:
     return loss, None
 
 
-def _sgd_epochs(model, samples, *, epochs, batch_size, lr, weight_decay,
-                seed, frozen, eval_samples) -> TrainTrace:
+def _sgd_epochs(model, samples, config: TrainConfig, frozen, eval_samples) -> TrainTrace:
     """Shared mini-batch loop. The last incomplete batch is kept; per-epoch
     loss is the mean over batch losses. A step that yields a non-finite
-    loss, gradient, moment or parameter raises `NonFiniteLossError` naming
-    it, before the model is used again."""
+    loss, gradient, moment or parameter, or an epoch whose evaluation scores
+    come out non-finite, raises `NonFiniteLossError` naming it, before the
+    model is used again."""
     x = features_matrix(samples)
     y = labels_vector(samples)
     n = len(samples)
     needed = None if not frozen else set(model.params) - frozen
-    optimizer = AdamW(lr=lr, weight_decay=weight_decay, frozen=frozen)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    optimizer = AdamW(lr=config.lr, weight_decay=config.weight_decay, frozen=frozen)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    diverged = f" (lr {config.lr:g}); training diverged"
     trace = TrainTrace()
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
             loss, bad = _step(model, optimizer, x[idx], y[idx], needed)
             if bad is not None:
                 raise NonFiniteLossError(f"{bad} at epoch {epoch}, step {trace.total_steps}"
-                                         f" (lr {lr:g}); training diverged")
+                                         + diverged)
             trace.total_steps += 1
             batch_losses.append(loss)
-        trace.records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_batch_loss=float(np.mean(batch_losses)),
-                eval_accuracy=accuracy_of(model, eval_samples or samples),
-            )
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                accuracy = accuracy_of(model, eval_samples or samples)
+            except ValueError as exc:
+                raise NonFiniteLossError(f"evaluation {exc} at epoch {epoch}" + diverged) from exc
+        trace.records.append(EpochRecord(epoch=epoch,
+                                         mean_batch_loss=float(np.mean(batch_losses)),
+                                         eval_accuracy=accuracy))
     return trace
 
 
@@ -169,17 +170,7 @@ def pretrain(model, labeled, config: TrainConfig, eval_samples=None) -> TrainTra
     """
     if not labeled:
         raise ValueError("cannot pretrain on an empty labeled subset")
-    return _sgd_epochs(
-        model,
-        labeled,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        seed=config.seed,
-        frozen=frozenset(),
-        eval_samples=eval_samples,
-    )
+    return _sgd_epochs(model, labeled, config, frozenset(), eval_samples)
 
 
 def fit_model(kind: str, samples, *, config: TrainConfig, qubits: int = 10, layers: int = 1,
@@ -206,27 +197,12 @@ def fit_model(kind: str, samples, *, config: TrainConfig, qubits: int = 10, laye
 
 
 def transfer_finetune(model, fewshot, config: TransferConfig, eval_samples=None) -> TrainTrace:
-    """Fine-tune ``model`` in place on few-shot target labels with the
-    freeze policy applied and a freshly initialized optimizer."""
+    """Fine-tune ``model`` in place on few-shot target labels with the model
+    kind's parameters in ``transfer_frozen`` held fixed and a freshly
+    initialized optimizer."""
     if not fewshot:
         raise ValueError("cannot fine-tune on an empty subset")
-    frozen = model.transfer_frozen if config.freeze is None else frozenset(config.freeze)
-    unknown = frozen - set(model.params)
-    if unknown:
-        raise ValueError(f"freeze names not in model: {sorted(unknown)}")
-    if frozen >= set(model.params):
-        raise ValueError("freeze policy leaves no trainable parameters")
-    return _sgd_epochs(
-        model,
-        fewshot,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        seed=config.seed,
-        frozen=frozen,
-        eval_samples=eval_samples,
-    )
+    return _sgd_epochs(model, fewshot, config, model.transfer_frozen, eval_samples)
 
 
 @dataclass(frozen=True)
@@ -243,53 +219,14 @@ class TransferRun:
 class RepeatedTransferResult:
     runs: tuple[TransferRun, ...]
 
-    def _stats(self, values) -> tuple[float, float]:
-        arr = np.array(values)
-        return float(arr.mean()), float(arr.std())
-
-    @property
-    def accuracy_mean_std(self) -> tuple[float, float]:
-        return self._stats([r.post_accuracy for r in self.runs])
-
-    @property
-    def pre_accuracy_mean_std(self) -> tuple[float, float]:
-        return self._stats([r.pre_accuracy for r in self.runs])
-
-    @property
-    def macro_auc_mean_std(self) -> tuple[float, float]:
-        return self._stats([r.macro_auc for r in self.runs])
-
-    @property
-    def micro_auc_mean_std(self) -> tuple[float, float]:
-        return self._stats([r.micro_auc for r in self.runs])
-
     def to_dict(self) -> dict:
-        acc = self.accuracy_mean_std
-        pre = self.pre_accuracy_mean_std
-        macro = self.macro_auc_mean_std
-        micro = self.micro_auc_mean_std
-        return {
-            "n_repeats": len(self.runs),
-            "pre_accuracy_mean": pre[0],
-            "pre_accuracy_std": pre[1],
-            "post_accuracy_mean": acc[0],
-            "post_accuracy_std": acc[1],
-            "macro_auc_mean": macro[0],
-            "macro_auc_std": macro[1],
-            "micro_auc_mean": micro[0],
-            "micro_auc_std": micro[1],
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "n_fewshot": r.n_fewshot,
-                    "pre_accuracy": r.pre_accuracy,
-                    "post_accuracy": r.post_accuracy,
-                    "macro_auc": r.macro_auc,
-                    "micro_auc": r.micro_auc,
-                }
-                for r in self.runs
-            ],
-        }
+        doc: dict = {"n_repeats": len(self.runs)}
+        for key in ("pre_accuracy", "post_accuracy", "macro_auc", "micro_auc"):
+            values = np.array([getattr(r, key) for r in self.runs])
+            doc[f"{key}_mean"] = float(np.mean(values))
+            doc[f"{key}_std"] = float(np.std(values))
+        doc["runs"] = [asdict(r) for r in self.runs]
+        return doc
 
 
 def run_repeated(
@@ -297,30 +234,25 @@ def run_repeated(
     dataset: Dataset,
     config: TransferConfig,
     n_repeats: int = 5,
-    seeds=None,
 ) -> tuple[RepeatedTransferResult, list]:
     """Repeated transfer fine-tuning from one pretrained model.
 
     Each repeat copies the pretrained model, draws the few-shot target
     subset, fine-tunes, and evaluates on the remaining target samples.
     resample=True gives every repeat its own subset; resample=False keeps
-    the subset of repeat 0 and varies only batch shuffling. ``seeds``
-    overrides the per-repeat seeds (e.g. identical seeds collapse the
-    spread to zero).
+    the subset of repeat 0 and varies only batch shuffling. Repeat seeds
+    are spawned from ``config.seed``.
 
     Returns the aggregate result and the fine-tuned models.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    if seeds is None:
-        root = np.random.SeedSequence(config.seed)
-        seeds = [int(s.generate_state(1)[0]) for s in root.spawn(n_repeats)]
-    elif len(seeds) != n_repeats:
-        raise ValueError("len(seeds) must equal n_repeats")
+    root = np.random.SeedSequence(config.seed)
+    seeds = [int(s.generate_state(1)[0]) for s in root.spawn(n_repeats)]
 
     runs = []
     models = []
-    for r, run_seed in enumerate(seeds):
+    for run_seed in seeds:
         split_seed = run_seed if config.resample else seeds[0]
         split = split_labeled(
             dataset,

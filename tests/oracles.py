@@ -109,12 +109,11 @@ def expectation_z(state: QuantumState, qubit: int) -> float:
     return float(state.probabilities() @ z_signs(state.n_qubits)[:, qubit])
 
 
-def full_width_sweep(ansatz, angles, slots=(), base=True):
+def full_width_sweep(ansatz, angles, slots=()):
     """The dressed circuit and its +-pi/2 shifts at ``slots`` on all n
     qubits, in one staircase pass over every gate: each shifted pair is
     copied from the base rows at its own RY gate. Returns ``(z, z_plus,
-    z_minus)`` shaped like `z_from_angles` with slots (z is None without
-    ``base``)."""
+    z_minus)`` shaped like `z_from_angles` with slots."""
     n = ansatz.n_qubits
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
     slots = [int(j) for j in slots]
@@ -146,7 +145,7 @@ def full_width_sweep(ansatz, angles, slots=(), base=True):
     rank = np.argsort(order)
     z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
     z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
-    return (out[0] if base else None), z_plus, z_minus
+    return out[0], z_plus, z_minus
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):

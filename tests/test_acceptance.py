@@ -17,7 +17,7 @@ from oracles import central_difference, pairwise_auc, random_circuit, simulate_d
 from qpose.data import FeatureNormalizer
 from qpose.evaluation import binary_roc
 from qpose.neural import DnnConfig, dnn_init, n_params, softmax_cross_entropy
-from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, param_shift_grad, qnn_backward, qnn_forward
+from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, z_from_angles
 from qpose.statevector import GateKind, run_circuit
 
 RUNTIME_BUDGET_S = 15 * 60
@@ -87,37 +87,28 @@ def test_parameter_shift_matches_finite_differences(capsys):
         model = DressedQnnModel.create(
             FeatureNormalizer.identity(n), StdAnsatz(n, 1), seed=n, n_features=n)
         x = rng.normal(size=n)
-        upstream = rng.normal(size=8)
-        theta_grad, enc_grad = param_shift_grad(model, x, upstream)
-
-        def from_theta(theta, model=model, x=x, upstream=upstream):
-            m = model.copy()
-            m.params["theta"] = theta
-            return float(upstream @ qnn_forward(m, x))
-
-        def from_bias(bias, model=model, x=x, upstream=upstream):
-            m = model.copy()
-            m.params["in.b"] = bias
-            return float(upstream @ qnn_forward(m, x))
-
-        fd_theta = central_difference(from_theta, model.params["theta"], step=1e-5)
-        fd_enc = central_difference(from_bias, model.params["in.b"], step=1e-5)
-        worst_shift = max(worst_shift,
-                          float(np.abs(theta_grad - fd_theta).max()),
-                          float(np.abs(enc_grad - fd_enc).max()))
+        # full Jacobian of every readout over every angle slot, encoding and theta
+        angles = np.concatenate([model.encoding_angles(x)[0], model.params["theta"]])
+        _, z_plus, z_minus = z_from_angles(model.ansatz, angles,
+                                           slots=range(model.ansatz.n_slots))
+        jacobian = (z_plus[0] - z_minus[0]) / 2.0
+        for q in range(n):
+            fd = central_difference(lambda a, q=q, m=model: z_from_angles(m.ansatz, a)[0, q],
+                                    angles, step=1e-5)
+            worst_shift = max(worst_shift, float(np.abs(jacobian[:, q] - fd).max()))
 
     # end-to-end hybrid loss gradient, every named parameter of a 4-qubit model
     model = DressedQnnModel.create(
         FeatureNormalizer.identity(4), StdAnsatz(4, 1), seed=1, n_features=4)
     x = rng.normal(size=4)
     label = 5
-    _, grads = qnn_backward(model, x, label)
+    _, grads = model.loss_and_grad(x, np.array([label]))
     worst_rel = 0.0
     for name in sorted(model.params):
         def loss_at(values, name=name):
             m = model.copy()
             m.params[name] = values.reshape(model.params[name].shape)
-            loss, _ = softmax_cross_entropy(qnn_forward(m, x), np.array([label]))
+            loss, _ = softmax_cross_entropy(m.logits(x), np.array([label]))
             return loss
 
         fd = central_difference(loss_at, model.params[name].ravel(), step=1e-5)

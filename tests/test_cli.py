@@ -141,6 +141,56 @@ class TestTrain:
         assert doc["error"] == "NonFiniteLossError"
         assert "AdamW second moment" in doc["message"]
 
+    def test_divergence_in_epoch_evaluation_prints_only_the_error_document(self, dataset,
+                                                                           tmp_path):
+        # the first step leaves huge but finite weights; the epoch's
+        # evaluation scores overflow and stop the run there
+        out = tmp_path / "div"
+        proc = run_proc(["train", "--seed", "1", "--data", str(dataset), "--model", "dnn",
+                         "--lr", "1e300", "--epochs", "20", "--out-dir", str(out)])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        doc = json.loads(lines[0])
+        assert doc["error"] == "NonFiniteLossError"
+        assert "epoch 0" in doc["message"] and "1e+300" in doc["message"]
+        assert not (out / "checkpoint.json").exists()
+
+
+def _assert_flag_rejected(code, capsys, flag, out):
+    field = flag[2:].replace("-", "_")
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ValueError" and doc["message"].startswith(f"{field} must be finite")
+    assert not any(out.glob("*checkpoint.json"))
+
+
+NON_FINITE_FLAGS = [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
+                    ("--weight-decay", "inf")]
+
+
+@pytest.mark.parametrize("flag, value", NON_FINITE_FLAGS)
+def test_train_rejects_non_finite_optimizer_flag(dataset, tmp_path, capsys, flag, value):
+    out = tmp_path / "train"
+    code = run_cli(["train", "--seed", "1", "--data", str(dataset), "--model", "dnn",
+                    "--epochs", "0", flag, value], out)
+    _assert_flag_rejected(code, capsys, flag, out)
+
+
+@pytest.mark.parametrize("flag, value", NON_FINITE_FLAGS)
+def test_transfer_rejects_non_finite_optimizer_flag(dataset, tmp_path, capsys, flag, value):
+    train_dir = tmp_path / "dnn"
+    assert run_cli(["train", "--seed", "1", "--data", str(dataset), "--model", "dnn",
+                    "--epochs", "1"], train_dir) == 0
+    capsys.readouterr()
+    out = tmp_path / "tl"
+    code = run_cli(["transfer", "--seed", "1", "--data", str(dataset),
+                    "--checkpoint", str(train_dir / "checkpoint.json"),
+                    "--samples", "24", "--epochs", "1", flag, value], out)
+    _assert_flag_rejected(code, capsys, flag, out)
+
 
 class TestEval:
     def test_perfect_fit_scores_one(self, dataset, tmp_path):

@@ -25,13 +25,11 @@ from qpose.data import (
     TARGET_CLASS_WEIGHTS,
     apportion,
     dataset_sha256,
-    dataset_to_csv_text,
     features_matrix,
     generate_synthetic,
     load_csv,
     split_labeled,
     stratified_subset,
-    synthetic_anchors,
     write_csv,
 )
 
@@ -160,15 +158,15 @@ class TestCanonicalText:
         feats.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
         ds = rows_dataset(feats, [(s.label, s.domain, s.session) for s in ds.samples])
         want = csv_text_by_value(ds)
-        assert dataset_to_csv_text(ds) == want
         path = tmp_path / "ds.csv"
         digest = write_csv(ds, path)
         assert path.read_bytes() == want.encode("utf-8")
         assert digest == dataset_sha256(ds) == hashlib.sha256(want.encode("utf-8")).hexdigest()
 
     def test_empty_dataset_is_header_only(self, tmp_path):
-        assert dataset_to_csv_text(Dataset([])) == CSV_HEADER + "\n"
-        assert write_csv(Dataset([]), tmp_path / "e.csv") == dataset_sha256(Dataset([]))
+        path = tmp_path / "e.csv"
+        assert write_csv(Dataset([]), path) == dataset_sha256(Dataset([]))
+        assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
     @given(features=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(N_FEATURES)),
                                elements=FEATURE_FLOATS),
@@ -240,20 +238,14 @@ class TestGenerator:
         spec = ShiftSpec(mean_offset_scale=0.0, feature_gain_spread=0.0,
                          noise_sigma_source=0.0, noise_sigma_target=0.0, seed=2)
         ds = generate_synthetic(80, 80, spec)
-        anchors, _ = synthetic_anchors(spec)
+        # without noise or shift every sample, target included, sits on its
+        # class anchor
+        anchors = np.stack([next(s.features for s in ds.samples if s.label == c)
+                            for c in range(N_CLASSES)])
         for s in ds.samples:
+            assert (s.features == anchors[s.label]).all()
             d = np.linalg.norm(anchors - s.features, axis=1)
             assert int(np.argmin(d)) == s.label
-
-    def test_anchor_helper_matches_generator(self):
-        spec = ShiftSpec(mean_offset_scale=0.0, feature_gain_spread=0.0,
-                         noise_sigma_source=0.0, noise_sigma_target=0.0, seed=6)
-        ds = generate_synthetic(N_CLASSES * 2, N_CLASSES * 2, spec)
-        src_anchors, tgt_anchors = synthetic_anchors(spec)
-        for s in ds.by_domain(Domain.SOURCE):
-            assert (s.features == src_anchors[s.label]).all()
-        for s in ds.by_domain(Domain.TARGET):
-            np.testing.assert_allclose(s.features, tgt_anchors[s.label], atol=1e-12)
 
 
 class TestApportion:
@@ -316,6 +308,32 @@ class TestSplit:
         chosen, rest, stratified = stratified_subset(samples, 4, seed=0)
         assert not stratified
         assert len(chosen) == 4 and len(rest) == 6
+
+    @given(labels=st.lists(st.integers(0, N_CLASSES - 1), min_size=1, max_size=60),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_split_meets_class_quotas_property(self, labels, data, seed):
+        samples = [BeamSnrSample(np.full(N_FEATURES, float(i)), label, Domain.SOURCE, 0)
+                   for i, label in enumerate(labels)]
+        count = data.draw(st.integers(0, len(samples)), label="count")
+        chosen, rest, stratified = stratified_subset(samples, count, seed)
+        ids = lambda xs: [id(s) for s in xs]
+        # disjoint and covering, each part in pool order
+        assert sorted(ids(chosen) + ids(rest)) == sorted(ids(samples))
+        chosen_ids = set(ids(chosen))
+        assert ids(chosen) == [id(s) for s in samples if id(s) in chosen_ids]
+        assert ids(rest) == [id(s) for s in samples if id(s) not in chosen_ids]
+        per_class = np.bincount(labels, minlength=N_CLASSES)
+        assert stratified == bool((per_class > 0).all())
+        got = np.bincount([s.label for s in chosen], minlength=N_CLASSES)
+        assert got.sum() == count
+        if stratified:
+            assert got.tolist() == apportion(count, per_class)
+
+        ds = Dataset(samples)
+        split = split_labeled(ds, Domain.SOURCE, count=count, seed=seed)
+        assert ids(split.labeled) == ids(chosen) and ids(split.evaluation) == ids(rest)
+        assert split.stratified == stratified
 
     @given(count=st.integers(0, 40), seed=st.integers(0, 99))
     @settings(max_examples=40, deadline=None)

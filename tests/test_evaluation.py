@@ -21,6 +21,7 @@ from qpose.data import (
 )
 from qpose.baselines import KnnModel
 from qpose.evaluation import (
+    accuracy_of,
     accuracy_vs_samples_curve,
     binary_roc,
     evaluate,
@@ -203,6 +204,19 @@ class TestEvaluateScores:
         scores[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             evaluate_scores(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_accuracy_of_rejects_nonfinite_scores(self, bad):
+        # an all-NaN score matrix must not read as a plausible accuracy
+        labels = np.arange(50) % N_CLASSES
+        samples = make_samples(labels)
+        assert accuracy_of(ScoreTable(np.eye(N_CLASSES)[labels]), samples) == 1.0
+        for scores in (np.full((50, N_CLASSES), bad), np.eye(N_CLASSES)[labels]):
+            scores[7, 2] = bad
+            with pytest.raises(ValueError, match="^scores must be finite$"):
+                accuracy_of(ScoreTable(scores), samples)
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            evaluate_scores(np.full((50, N_CLASSES), bad), labels)
 
     def test_non_integer_labels_rejected(self):
         scores = np.eye(N_CLASSES)[:4]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import central_difference
 from qpose.data import FeatureNormalizer
@@ -187,6 +188,27 @@ class TestAdamW:
         assert (params["cold"] == before_cold).all()
         assert "cold" not in opt.m
         assert not (params["hot"] == 1.0).all()
+
+    @given(shapes=st.lists(st.sampled_from([(1,), (3,), (2, 2)]), min_size=1, max_size=5),
+           frozen_mask=st.lists(st.booleans(), min_size=5, max_size=5),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frozen_untouched_under_arbitrary_gradients(self, shapes, frozen_mask, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        values = lambda shape: data.draw(hnp.arrays(np.float64, shape, elements=finite))
+        params = {f"p{i}": values(shape) for i, shape in enumerate(shapes)}
+        frozen = frozenset(name for name, cold in zip(params, frozen_mask) if cold)
+        before = {name: params[name].copy() for name in frozen}
+        opt = AdamW(frozen=frozen)
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            grads = {name: values(p.shape) for name, p in params.items()}
+            # huge gradients may overflow the moments of the trained names
+            with np.errstate(over="ignore", invalid="ignore"):
+                opt.step(params, grads)
+        for name in frozen:
+            assert params[name].tobytes() == before[name].tobytes(), name
+        assert frozen.isdisjoint(opt.m) and frozen.isdisjoint(opt.v)
+        assert set(opt.m) == set(opt.v) == set(params) - frozen
 
     def test_shape_mismatch_rejected(self):
         opt = AdamW()

@@ -23,9 +23,6 @@ from qpose.quantum_classifier import (
     StdAnsatz,
     evaluation_count,
     light_cones,
-    param_shift_grad,
-    qnn_backward,
-    qnn_forward,
     reset_evaluation_count,
     z_from_angles,
 )
@@ -39,6 +36,16 @@ def small_model(n_qubits=4, n_layers=1, seed=0):
         seed=seed,
         n_features=n_qubits,
     )
+
+
+def angle_row(m, x):
+    """The dressed circuit's angles for one feature vector: encoding, then theta."""
+    return np.concatenate([m.encoding_angles(x)[0], m.params["theta"]])
+
+
+def loss_of(m, x, label):
+    loss, _ = softmax_cross_entropy(m.logits(x), np.array([label]))
+    return loss
 
 
 class TestStdAnsatz:
@@ -77,11 +84,12 @@ class TestForward:
         m = small_model(n_qubits=10)
         for k in m.params:
             m.params[k] = np.zeros_like(m.params[k])
-        logits = qnn_forward(m, np.zeros(10))
+        logits = m.logits(np.zeros(10))
         # zero angles: pure RY(0)+CZ circuit leaves |0...0>, z = +1 each,
         # zero output layer maps that to the zero logit vector
-        np.testing.assert_allclose(logits, np.zeros(8), atol=1e-15)
-        np.testing.assert_allclose(m.z_values(np.zeros(10)), np.ones((1, 10)), atol=1e-15)
+        np.testing.assert_allclose(logits, np.zeros((1, 8)), atol=1e-15)
+        z = z_from_angles(m.ansatz, angle_row(m, np.zeros(10)))
+        np.testing.assert_allclose(z, np.ones((1, 10)), atol=1e-15)
 
     def test_matches_dense_oracle_n2(self):
         m = small_model(n_qubits=2, seed=3)
@@ -90,19 +98,19 @@ class TestForward:
         state = simulate_dense(2, StdAnsatz(2, 1).dressed_ops(), angles)
         z_oracle = np.array([z_expectation_dense(state, q) for q in range(2)])
         logits_oracle = z_oracle @ m.params["out.w"] + m.params["out.b"]
-        np.testing.assert_allclose(qnn_forward(m, x), logits_oracle, atol=1e-10)
+        np.testing.assert_allclose(m.logits(x)[0], logits_oracle, atol=1e-10)
 
     def test_parameter_counts_canonical_model(self):
         m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1))
-        assert m.n_quantum_params() == 18
-        assert m.n_classical_params() == 458
-        assert m.n_params() == 476
+        assert m.param_counts() == {"quantum_params": 18, "classical_params": 458,
+                                    "total_params": 476}
 
     def test_z_in_unit_interval_and_logits_affine(self):
         rng = np.random.default_rng(11)
         m = small_model(n_qubits=5, seed=7)
         x = rng.normal(size=(20, 5))
-        z = m.z_values(x)
+        theta = np.broadcast_to(m.params["theta"], (20, m.ansatz.n_theta))
+        z = z_from_angles(m.ansatz, np.concatenate([m.encoding_angles(x), theta], axis=1))
         assert (z >= -1 - 1e-12).all() and (z <= 1 + 1e-12).all()
         np.testing.assert_allclose(
             m.logits(x), z @ m.params["out.w"] + m.params["out.b"], atol=1e-14
@@ -111,7 +119,9 @@ class TestForward:
     def test_nonfinite_input_rejected(self):
         m = small_model()
         with pytest.raises(ValueError):
-            qnn_forward(m, np.array([np.nan, 0, 0, 0]))
+            m.predict_proba(np.array([np.nan, 0, 0, 0]))
+        with pytest.raises(ValueError):
+            m.loss_and_grad(np.array([[0, np.inf, 0, 0]]), np.array([0]))
 
     def test_fast_path_matches_reference_simulator(self):
         rng = np.random.default_rng(4)
@@ -144,27 +154,18 @@ class TestParamShift:
             assert abs((up - dn) / 2 - (-np.sin(theta))) < 1e-12
 
     def test_matches_finite_differences_per_coordinate(self):
+        # the full Jacobian (z_plus - z_minus) / 2 of every readout over
+        # every angle slot, encoding and theta
         rng = np.random.default_rng(21)
         m = small_model(n_qubits=4, seed=5)
-        x = rng.normal(size=4)
-        upstream = rng.normal(size=8)
-        theta_grad, enc_grad = param_shift_grad(m, x, upstream)
-
-        def value_from_theta(theta):
-            m2 = m.copy()
-            m2.params["theta"] = theta
-            return float(upstream @ qnn_forward(m2, x))
-
-        def value_from_bias(bias):
-            # encoding angles enter through in.b additively
-            m2 = m.copy()
-            m2.params["in.b"] = bias
-            return float(upstream @ qnn_forward(m2, x))
-
-        fd_theta = central_difference(value_from_theta, m.params["theta"], step=1e-5)
-        fd_enc = central_difference(value_from_bias, m.params["in.b"], step=1e-5)
-        np.testing.assert_allclose(theta_grad, fd_theta, atol=1e-6)
-        np.testing.assert_allclose(enc_grad, fd_enc, atol=1e-6)
+        angles = angle_row(m, rng.normal(size=4))
+        slots = range(m.ansatz.n_slots)
+        _, z_plus, z_minus = z_from_angles(m.ansatz, angles, slots=slots)
+        jacobian = (z_plus[0] - z_minus[0]) / 2.0
+        for q in range(4):
+            fd = central_difference(lambda a, q=q: z_from_angles(m.ansatz, a)[0, q], angles,
+                                    step=1e-5)
+            np.testing.assert_allclose(jacobian[:, q], fd, atol=1e-6)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=10, deadline=None)
@@ -173,36 +174,35 @@ class TestParamShift:
         n = int(rng.integers(2, 7))
         m = small_model(n_qubits=n, seed=seed)
         x = rng.normal(size=n)
-        upstream = rng.normal(size=8)
-        theta_grad, _ = param_shift_grad(m, x, upstream)
+        label = int(rng.integers(0, 8))
+        _, grads = m.loss_and_grad(x, np.array([label]), needed={"theta"})
 
         def value(theta):
             m2 = m.copy()
             m2.params["theta"] = theta
-            return float(upstream @ qnn_forward(m2, x))
+            return loss_of(m2, x, label)
 
         np.testing.assert_allclose(
-            theta_grad, central_difference(value, m.params["theta"], step=1e-5), atol=1e-6
+            grads["theta"], central_difference(value, m.params["theta"], step=1e-5), atol=1e-6
         )
 
     def test_zero_upstream_gives_exact_zero(self):
+        # a zero output layer passes no cotangent back to the readout, so
+        # every shifted-circuit gradient is exactly zero
         m = small_model(seed=2)
-        theta_grad, enc_grad = param_shift_grad(m, np.ones(4), np.zeros(8))
-        assert (theta_grad == 0.0).all()
-        assert (enc_grad == 0.0).all()
+        m.params["out.w"] = np.zeros_like(m.params["out.w"])
+        _, grads = m.loss_and_grad(np.ones((1, 4)), np.array([3]))
+        for name in ("theta", "in.w", "in.b"):
+            assert (grads[name] == 0.0).all(), name
 
     def test_cost_contract(self):
+        # one sample's full gradient: 1 + 2K circuits, K = 2(n-1)L + n slots
         for n, layers in ((10, 1), (4, 2), (3, 3)):
             m = small_model(n_qubits=n, n_layers=layers, seed=1)
             reset_evaluation_count()
-            param_shift_grad(m, np.ones(n), np.ones(8))
-            assert evaluation_count() == 2 * (2 * (n - 1) * layers + n)
+            m.loss_and_grad(np.ones((1, n)), np.array([0]))
+            assert evaluation_count() == 1 + 2 * (2 * (n - 1) * layers + n)
         reset_evaluation_count()
-
-    def test_upstream_shape_checked(self):
-        m = small_model()
-        with pytest.raises(ValueError):
-            param_shift_grad(m, np.ones(4), np.ones(3))
 
 
 def explicit_shift_rows(rows, slots):
@@ -251,10 +251,6 @@ class TestStaircaseSweep:
         assert evaluation_count() == 4 * (1 + 2 * 3)
         assert z.shape == (4, 3) and z_plus.shape == (4, 3, 3)
         reset_evaluation_count()
-        z, z_plus, z_minus = z_from_angles(ansatz, rows, slots=[1], base=False)
-        assert z is None and z_minus.shape == (4, 1, 3)
-        assert evaluation_count() == 4 * 2
-        reset_evaluation_count()
 
     def test_slot_validation(self):
         ansatz = StdAnsatz(2, 1)
@@ -262,8 +258,6 @@ class TestStaircaseSweep:
         for bad in ([0, 0], [ansatz.n_slots], [-1]):
             with pytest.raises(ValueError):
                 z_from_angles(ansatz, rows, slots=bad)
-        with pytest.raises(ValueError):
-            z_from_angles(ansatz, rows, base=False)
 
     @pytest.mark.parametrize("needed, per_sample", [(None, 57), ({"theta"}, 37)])
     def test_closed_form_cost_at_default_size(self, needed, per_sample):
@@ -295,22 +289,18 @@ class TestLightCone:
         n=st.integers(2, 8),
         layers=st.integers(1, 3),
         batch=st.sampled_from([1, 3, 33]),
-        base=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_full_width_oracle(self, n, layers, batch, base, data):
+    def test_matches_full_width_oracle(self, n, layers, batch, data):
         ansatz = StdAnsatz(n, layers)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         rows = rng.uniform(-np.pi, np.pi, (batch, ansatz.n_slots))
-        slots = data.draw(st.lists(st.integers(0, ansatz.n_slots - 1), unique=True,
-                                   min_size=0 if base else 1), label="slots")
-        got = z_from_angles(ansatz, rows, slots=slots, base=base)
-        want = full_width_sweep(ansatz, rows, slots, base)
+        slots = data.draw(st.lists(st.integers(0, ansatz.n_slots - 1), unique=True),
+                          label="slots")
+        got = z_from_angles(ansatz, rows, slots=slots)
+        want = full_width_sweep(ansatz, rows, slots)
         for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-                continue
             assert g.shape == w.shape
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
@@ -383,14 +373,13 @@ class TestBackward:
         m = small_model(n_qubits=4, seed=9)
         x = rng.normal(size=4)
         label = 3
-        _, grads = qnn_backward(m, x, label)
+        _, grads = m.loss_and_grad(x, np.array([label]))
 
         for name in sorted(m.params):
             def loss_at(values, name=name):
                 m2 = m.copy()
                 m2.params[name] = values.reshape(m.params[name].shape)
-                loss, _ = softmax_cross_entropy(qnn_forward(m2, x), np.array([label]))
-                return loss
+                return loss_of(m2, x, label)
 
             fd = central_difference(loss_at, m.params[name].ravel(), step=1e-5)
             scale = np.maximum(np.abs(fd), 1e-6)
@@ -401,7 +390,7 @@ class TestBackward:
         rng = np.random.default_rng(12)
         m = small_model(n_qubits=3, seed=4)
         x = rng.normal(size=3)
-        loss1, g1 = qnn_backward(m, x, 2)
+        loss1, g1 = m.loss_and_grad(x, np.array([2]))
         xs = np.tile(x, (4, 1))
         loss4, g4 = m.loss_and_grad(xs, np.full(4, 2))
         assert abs(loss1 - loss4) < 1e-12
@@ -414,16 +403,16 @@ class TestBackward:
         m.params["out.b"] = np.zeros(8)
         m.params["out.b"][5] = 30.0
         m.params["out.w"] = np.zeros_like(m.params["out.w"])
-        _, grads = qnn_backward(m, np.zeros(3), 5)
+        _, grads = m.loss_and_grad(np.zeros(3), np.array([5]))
         total = sum(np.abs(g).sum() for g in grads.values())
         assert total < 1e-9
 
     def test_label_validation(self):
         m = small_model()
         with pytest.raises(ValueError):
-            qnn_backward(m, np.ones(4), 8)
+            m.loss_and_grad(np.ones((1, 4)), np.array([8]))
         with pytest.raises(ValueError):
-            qnn_backward(m, np.ones(4), -1)
+            m.loss_and_grad(np.ones((2, 4)), np.array([0, -1]))
 
     def test_needed_restriction_skips_encoding_shifts(self):
         m = small_model(n_qubits=4, n_layers=1, seed=3)
@@ -442,7 +431,7 @@ class TestBackward:
         xs = rng.normal(size=(3, 3))
         ys = np.array([1, 0, 7])
         loss_b, grads_b = m.loss_and_grad(xs, ys)
-        singles = [qnn_backward(m, xs[i], int(ys[i])) for i in range(3)]
+        singles = [m.loss_and_grad(xs[i], ys[i : i + 1]) for i in range(3)]
         np.testing.assert_allclose(loss_b, np.mean([s[0] for s in singles]), atol=1e-12)
         for name in grads_b:
             stacked = np.mean([s[1][name] for s in singles], axis=0)
