@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, checkpoint_arrays,
-                   features_matrix, labels_vector)
+from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNormalizer,
+                   checkpoint_arrays, features_matrix)
 
 # Query rows per distance block: bounds the (rows, references, features)
 # difference temporary instead of letting it grow with the query count.
@@ -40,10 +40,10 @@ class KnnModel:
             raise ValueError(f"k={self.k} outside 1..{len(self.labels)} (training size)")
 
     @classmethod
-    def fit(cls, samples, normalizer: FeatureNormalizer, k: int = 5) -> "KnnModel":
+    def fit(cls, samples: Dataset, normalizer: FeatureNormalizer, k: int = 5) -> "KnnModel":
         return cls(
             features=normalizer.transform(features_matrix(samples)),
-            labels=labels_vector(samples),
+            labels=samples.labels,
             k=k,
             normalizer=normalizer,
         )
@@ -100,9 +100,9 @@ class GnbModel:
             raise ValueError("variances must be positive")
 
     @classmethod
-    def fit(cls, samples, normalizer: FeatureNormalizer) -> "GnbModel":
+    def fit(cls, samples: Dataset, normalizer: FeatureNormalizer) -> "GnbModel":
         x = normalizer.transform(features_matrix(samples))
-        y = labels_vector(samples)
+        y = samples.labels
         counts = np.bincount(y, minlength=N_CLASSES)
         if (counts == 0).any():
             missing = np.flatnonzero(counts == 0).tolist()

@@ -170,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(path):
-    from .data import load_csv
-
-    return load_csv(path)
-
-
 def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
     """``fit_model`` with the model and optimizer flags of ``args``."""
     from .training import TrainConfig, fit_model
@@ -196,12 +190,6 @@ def _write_metadata(args, out_dir: Path, dataset, metrics: dict) -> None:
                        deterministic=args.deterministic, metrics=metrics)
 
 
-def _eval_dict(model, samples) -> dict:
-    from .evaluation import evaluate
-
-    return evaluate(model, samples).to_dict()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ def cmd_gen(args) -> int:
 
     src = dataset.class_counts(Domain.SOURCE)
     tgt = dataset.class_counts(Domain.TARGET)
-    print(f"wrote {out} ({len(dataset.samples)} samples)")
+    print(f"wrote {out} ({len(dataset)} samples)")
     print("pose  source  target")
     for c in range(len(src)):
         print(f"{c:4d}  {src[c]:6d}  {tgt[c]:6d}")
@@ -245,11 +233,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import Domain, split_labeled
+    from .data import Domain, load_csv, split_labeled
+    from .evaluation import evaluate
     from .serialize import save_checkpoint
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args.data)
+    dataset = load_csv(args.data)
     fraction = args.labeled_fraction
     if fraction is None and args.labeled_count is None:
         fraction = 0.5
@@ -264,10 +253,10 @@ def cmd_train(args) -> int:
     if hasattr(model, "param_counts"):
         summary |= model.param_counts()
     if split.evaluation:
-        summary["in_domain"] = _eval_dict(model, split.evaluation)
+        summary["in_domain"] = evaluate(model, split.evaluation).to_dict()
     target = dataset.by_domain(Domain.TARGET)
     if target:
-        summary["cross_domain"] = _eval_dict(model, target)
+        summary["cross_domain"] = evaluate(model, target).to_dict()
     if trace is not None:
         summary["final_train_loss"] = trace.losses[-1] if trace.losses else None
         summary["epochs_run"] = len(trace.records)
@@ -285,11 +274,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .data import load_csv
     from .serialize import load_checkpoint, save_checkpoint
     from .training import TransferConfig, run_repeated
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args.data)
+    dataset = load_csv(args.data)
     model = load_checkpoint(args.checkpoint)
     if not hasattr(model, "transfer_frozen"):
         raise ValueError(f"model kind `{model.kind}` does not support fine-tuning")
@@ -325,12 +315,12 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import Domain
+    from .data import Domain, load_csv
     from .evaluation import evaluate, write_confusion_csv, write_roc_csvs, write_summary_json
     from .serialize import load_checkpoint
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args.data)
+    dataset = load_csv(args.data)
     model = load_checkpoint(args.checkpoint)
     samples = dataset.by_domain(Domain(args.domain))
     if not samples:
@@ -349,11 +339,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    from .data import Domain, split_labeled
+    from .data import Domain, load_csv, split_labeled
     from .evaluation import accuracy_vs_samples_curve, write_curve_csv
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args.data)
+    dataset = load_csv(args.data)
     grid = [int(v) for v in args.grid.split(",") if v.strip()]
     if not grid:
         raise ValueError("empty --grid")

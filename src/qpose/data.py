@@ -1,34 +1,33 @@
-"""Beam-SNR dataset model, CSV ingestion, and a seeded synthetic generator.
+"""Beam-SNR datasets: the columnar `Dataset`, CSV ingestion, and a seeded
+synthetic generator.
 
-A sample is a 36-dimensional vector of beam SNRs (dB) with a pose label in
-0..7, a domain tag (source = earlier measurement sessions, target = later
-ones), and a session id. Real measurements come in through `load_csv`; the
-synthetic generator stands in for measured data and exposes a controllable
-source-to-target domain shift.
+A row holds 36 beam SNRs (dB), a pose label in 0..7, a domain tag (source =
+earlier measurement sessions, target = later ones) and a session id. A
+`Dataset` keeps its rows as four read-only columns, checked a column at a
+time; every split and subset is again a `Dataset`, made by one index take.
+Real measurements come in through `load_csv`; the synthetic generator
+stands in for them with a controllable source-to-target domain shift.
 
 Synthetic model: each pose class c gets an anchor vector mu_c drawn once
 from N(0, ANCHOR_SIGMA^2) per feature. Source samples are mu_c plus
 isotropic Gaussian noise. Target samples are g * mu_c + delta plus noise,
 where the per-feature gain g and offset delta are drawn once per dataset;
 the shift is shared across classes but acts differently on each class
-through its anchor, which is what degrades a source-trained model.
+through its anchor, which is what degrades a source-trained model. All
+randomness comes from independent PCG64 child streams spawned from one seed
+(anchors / source noise / target shift+noise), so e.g. changing the target
+sample count never perturbs the source samples.
 
-All randomness uses numpy's PCG64 generator with independent child streams
-spawned from one seed (anchors / source noise / target shift+noise), so
-e.g. changing the target sample count never perturbs the source samples.
-
-A dataset's canonical CSV text renders every feature with `repr(float)`,
-in blocks of CSV_BLOCK_ROWS rows taken from one feature matrix each.
-`write_csv` writes and hashes those blocks in one pass and returns the
-digest; `dataset_sha256` hashes the same blocks without writing, so the
-text is never held whole. `load_csv` streams the file a line at a time,
-parses a row's 36 features with one numpy conversion (it accepts and
-rejects the strings `float()` does) and names the line of any bad row.
+A dataset's canonical CSV text renders every feature with `repr(float)`.
+`load_csv` parses a row's 36 features with one numpy conversion, which
+accepts the spellings `float()` accepts, and names the first bad line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 from enum import Enum
 from hashlib import sha256
 from pathlib import Path
@@ -54,54 +53,66 @@ class Domain(str, Enum):
     SOURCE = "source"
     TARGET = "target"
 
+    def __str__(self) -> str:  # the value, as StrEnum's, so numpy columns hold it
+        return self.value
+
 
 class CsvFormatError(ValueError):
     """Malformed dataset CSV; message names the offending line."""
 
 
-@dataclass(eq=False)
-class BeamSnrSample:
-    features: np.ndarray
-    label: int
-    domain: Domain
-    session: int
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Beam-SNR rows as four columns: ``samples``, the (N, 36) float64
+    features; ``labels``, int64 poses in 0..7; ``domain``, "source" or
+    "target"; ``session``, int64 session ids. The constructor checks every
+    column at once and marks it read-only (an array that already has the
+    column's dtype is kept, not copied); `take` copies a subset of rows."""
+
+    samples: np.ndarray
+    labels: np.ndarray
+    domain: np.ndarray
+    session: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
+        samples = np.asarray(self.samples, dtype=np.float64)
+        labels, domain, session = (np.asarray(self.labels), np.asarray(self.domain, dtype=str),
+                                   np.asarray(self.session))
+        if samples.ndim != 2 or samples.shape[1] != N_FEATURES:
+            raise ValueError(f"expected (n, {N_FEATURES}) features, got shape {samples.shape}")
+        if not labels.shape == domain.shape == session.shape == (len(samples),):
+            raise ValueError("labels, domain and session need one entry per feature row")
+        for name, column in (("labels", labels), ("session", session)):
+            if column.size and column.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got dtype {column.dtype}")
+        if not np.isfinite(samples).all():
             raise ValueError("features must be finite")
-        if not 0 <= int(self.label) < N_CLASSES:
-            raise ValueError(f"label {self.label} outside 0..{N_CLASSES - 1}")
-        feats.flags.writeable = False
-        self.features = feats
-        self.label = int(self.label)
-        self.domain = Domain(self.domain)
-        self.session = int(self.session)
+        if labels.size and not 0 <= labels.min() <= labels.max() < N_CLASSES:
+            raise ValueError(f"labels must lie in 0..{N_CLASSES - 1}")
+        if not np.isin(domain, [d.value for d in Domain]).all():
+            raise ValueError(f"domain must be one of {[d.value for d in Domain]}")
+        for name, column in (("samples", samples), ("labels", labels.astype(np.int64, copy=False)),
+                             ("domain", domain), ("session", session.astype(np.int64, copy=False))):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
+    def __len__(self) -> int:
+        return len(self.samples)
 
-@dataclass
-class Dataset:
-    samples: list[BeamSnrSample]
+    def take(self, index) -> "Dataset":
+        """The rows at ``index`` (integer indices or a boolean mask), copied."""
+        return Dataset(*(c[index] for c in (self.samples, self.labels, self.domain, self.session)))
 
-    def by_domain(self, domain: Domain) -> list[BeamSnrSample]:
-        domain = Domain(domain)
-        return [s for s in self.samples if s.domain is domain]
+    def by_domain(self, domain: Domain) -> "Dataset":
+        return self.take(self.domain == Domain(domain).value)
 
     def class_counts(self, domain: Domain) -> np.ndarray:
-        counts = np.zeros(N_CLASSES, dtype=np.int64)
-        for s in self.by_domain(domain):
-            counts[s.label] += 1
-        return counts
+        return np.bincount(self.labels[self.domain == Domain(domain).value], minlength=N_CLASSES)
 
 
-def features_matrix(samples) -> np.ndarray:
-    return np.stack([s.features for s in samples]) if samples else np.empty((0, N_FEATURES))
-
-
-def labels_vector(samples) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.int64)
+def features_matrix(dataset: Dataset) -> np.ndarray:
+    """The read-only (N, 36) feature matrix of ``dataset``."""
+    return dataset.samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +124,8 @@ class FeatureNormalizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, samples) -> "FeatureNormalizer":
-        x = features_matrix(samples)
+    def fit(cls, dataset: Dataset) -> "FeatureNormalizer":
+        x = features_matrix(dataset)
         if x.shape[0] == 0:
             raise ValueError("cannot fit a normalizer on zero samples")
         mean = x.mean(axis=0)
@@ -163,6 +174,11 @@ def checkpoint_arrays(section: str, doc, shapes: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _check_scale(name: str, value: float) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Parameters of the synthetic source-to-target domain shift.
@@ -184,19 +200,14 @@ class ShiftSpec:
     def __post_init__(self) -> None:
         for name in ("mean_offset_scale", "feature_gain_spread",
                      "noise_sigma_source", "noise_sigma_target"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            _check_scale(name, getattr(self, name))
 
     def scaled(self, shift_scale: float) -> "ShiftSpec":
         """Scale the systematic shift (offset and gain spread) by a factor;
         noise levels are left alone."""
-        if shift_scale < 0:
-            raise ValueError("shift_scale must be nonnegative")
-        return replace(
-            self,
-            mean_offset_scale=self.mean_offset_scale * shift_scale,
-            feature_gain_spread=self.feature_gain_spread * shift_scale,
-        )
+        _check_scale("shift_scale", shift_scale)
+        return replace(self, mean_offset_scale=self.mean_offset_scale * shift_scale,
+                       feature_gain_spread=self.feature_gain_spread * shift_scale)
 
 
 def apportion(total: int, weights) -> list[int]:
@@ -214,40 +225,37 @@ def apportion(total: int, weights) -> list[int]:
     return counts.tolist()
 
 
-def generate_synthetic(
-    n_source: int,
-    n_target: int,
-    shift: ShiftSpec,
-    source_weights=SOURCE_CLASS_WEIGHTS,
-    target_weights=TARGET_CLASS_WEIGHTS,
-) -> Dataset:
+def generate_synthetic(n_source: int, n_target: int, shift: ShiftSpec,
+                       source_weights=SOURCE_CLASS_WEIGHTS,
+                       target_weights=TARGET_CLASS_WEIGHTS) -> Dataset:
     """Seeded synthetic dataset with the configured domain shift.
 
     Deterministic: the same arguments produce byte-identical datasets on any
-    platform (PCG64 streams, fixed generation order).
+    platform (PCG64 streams, fixed generation order). A feature that
+    overflows float64 fails the dataset's finite check, not a numpy warning.
     """
     if n_source <= 0 or n_target <= 0:
         raise ValueError("sample counts must be positive")
     anchors_ss, source_ss, target_ss = np.random.SeedSequence(shift.seed).spawn(3)
     anchors = np.random.default_rng(anchors_ss).normal(0.0, ANCHOR_SIGMA, (N_CLASSES, N_FEATURES))
 
-    samples: list[BeamSnrSample] = []
-    rng_src = np.random.default_rng(source_ss)
-    for c, count in enumerate(apportion(n_source, source_weights)):
-        noise = rng_src.normal(0.0, shift.noise_sigma_source, (count, N_FEATURES))
-        for i, row in enumerate(anchors[c] + noise):
-            samples.append(BeamSnrSample(row, c, Domain.SOURCE,
-                                         SOURCE_SESSIONS[i % len(SOURCE_SESSIONS)]))
-
-    rng_tgt = np.random.default_rng(target_ss)
-    gain = rng_tgt.normal(1.0, shift.feature_gain_spread, N_FEATURES)
-    offset = rng_tgt.normal(0.0, shift.mean_offset_scale, N_FEATURES)
-    for c, count in enumerate(apportion(n_target, target_weights)):
-        noise = rng_tgt.normal(0.0, shift.noise_sigma_target, (count, N_FEATURES))
-        for i, row in enumerate(gain * anchors[c] + offset + noise):
-            samples.append(BeamSnrSample(row, c, Domain.TARGET,
-                                         TARGET_SESSIONS[i % len(TARGET_SESSIONS)]))
-    return Dataset(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng(source_ss)
+        source = [anchors[c] + rng.normal(0.0, shift.noise_sigma_source, (count, N_FEATURES))
+                  for c, count in enumerate(apportion(n_source, source_weights))]
+        rng = np.random.default_rng(target_ss)
+        gain = rng.normal(1.0, shift.feature_gain_spread, N_FEATURES)
+        offset = rng.normal(0.0, shift.mean_offset_scale, N_FEATURES)
+        target = [gain * anchors[c] + offset
+                  + rng.normal(0.0, shift.noise_sigma_target, (count, N_FEATURES))
+                  for c, count in enumerate(apportion(n_target, target_weights))]
+    # class blocks in order, domain by domain; sessions cycle within a class
+    blocks = [(rows, np.full(len(rows), c), np.full(len(rows), domain.value),
+               np.resize(sessions, len(rows)))
+              for domain, sessions, per_class in ((Domain.SOURCE, SOURCE_SESSIONS, source),
+                                                  (Domain.TARGET, TARGET_SESSIONS, target))
+              for c, rows in enumerate(per_class)]
+    return Dataset(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +269,15 @@ CSV_BLOCK_ROWS = 512
 
 def _csv_blocks(dataset: Dataset):
     """The canonical CSV text in pieces: the header line, then the rows in
-    blocks of CSV_BLOCK_ROWS, each rendered from one feature matrix."""
+    blocks of CSV_BLOCK_ROWS, each rendered from one slice of the columns."""
     yield CSV_HEADER + "\n"
-    samples = dataset.samples
-    for start in range(0, len(samples), CSV_BLOCK_ROWS):
-        block = samples[start : start + CSV_BLOCK_ROWS]
-        rows = features_matrix(block).tolist()
-        yield "".join(f"{s.label},{s.domain.value},{s.session},{','.join(map(repr, row))}\n"
-                      for s, row in zip(block, rows))
+    x = features_matrix(dataset)
+    for start in range(0, len(dataset), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        yield "".join(f"{label},{domain},{session},{','.join(map(repr, feats))}\n"
+                      for label, domain, session, feats in zip(
+                          dataset.labels[rows].tolist(), dataset.domain[rows].tolist(),
+                          dataset.session[rows].tolist(), x[rows].tolist()))
 
 
 def write_csv(dataset: Dataset, path) -> str:
@@ -293,33 +302,41 @@ def dataset_sha256(dataset: Dataset) -> str:
 
 
 def load_csv(path) -> Dataset:
+    """Read a dataset CSV a line at a time into blocks of CSV_BLOCK_ROWS
+    feature rows; a bad row raises CsvFormatError naming its line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    samples: list[BeamSnrSample] = []
+    blocks, labels, domain, session = [np.empty((0, N_FEATURES))], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header != CSV_HEADER:
+        if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
             raise CsvFormatError(f"line 1: bad header, expected `{CSV_HEADER}`")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != 3 + N_FEATURES:
-                raise CsvFormatError(
-                    f"line {lineno}: expected {3 + N_FEATURES} fields, got {len(fields)}"
-                )
+            if len(labels) % CSV_BLOCK_ROWS == 0:
+                blocks.append(np.empty((CSV_BLOCK_ROWS, N_FEATURES)))
+            feats = blocks[-1][len(labels) % CSV_BLOCK_ROWS]
             try:
-                label = int(fields[0])
-                domain = Domain(fields[1])
-                session = int(fields[2])
-                # numpy parses each string as float() does
-                feats = np.array(fields[3:], dtype=np.float64)
-                samples.append(BeamSnrSample(feats, label, domain, session))
-            except (ValueError, KeyError) as exc:
+                if len(fields) != 3 + N_FEATURES:
+                    raise ValueError(f"expected {3 + N_FEATURES} fields, got {len(fields)}")
+                label, row_domain, row_session = (int(fields[0]), Domain(fields[1]).value,
+                                                  int(fields[2]))
+                feats[:] = fields[3:]  # numpy parses each string as float() does
+                if not np.isfinite(feats).all():
+                    raise ValueError("features must be finite")
+                if not 0 <= label < N_CLASSES:
+                    raise ValueError(f"label {label} outside 0..{N_CLASSES - 1}")
+                if not -(2**63) <= row_session < 2**63:
+                    raise ValueError(f"session {row_session} outside the int64 range")
+            except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
-    return Dataset(samples)
+            labels.append(label)
+            domain.append(row_domain)
+            session.append(row_session)
+    return Dataset(np.concatenate(blocks)[: len(labels)], labels, domain, session)
 
 
 # ---------------------------------------------------------------------------
@@ -327,38 +344,34 @@ def load_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitResult:
-    labeled: list[BeamSnrSample]
-    evaluation: list[BeamSnrSample]
+class SplitResult(NamedTuple):
+    labeled: Dataset
+    evaluation: Dataset
     stratified: bool
 
 
-def stratified_subset(samples, count: int, seed: int):
-    """Seeded class-stratified subset of ``count`` samples.
+def stratified_subset(pool: Dataset, count: int, seed: int) -> SplitResult:
+    """Seeded class-stratified subset of ``count`` rows of ``pool``.
 
-    Returns (chosen, rest, stratified). Falls back to unstratified sampling
-    (stratified=False) when some class is absent from ``samples``; quota
-    rounding is largest-remainder, which never exceeds a class's pool.
+    Returns (chosen, rest, stratified), each part in pool order. Falls back
+    to unstratified sampling (stratified=False) when some class is absent
+    from ``pool``; quota rounding is largest-remainder, which never exceeds
+    a class's pool.
     """
-    samples = list(samples)
-    n = len(samples)
+    n = len(pool)
     if not 0 <= count <= n:
         raise ValueError(f"requested {count} samples from a pool of {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    by_class = [[i for i, s in enumerate(samples) if s.label == c] for c in range(N_CLASSES)]
-    stratified = all(len(ix) > 0 for ix in by_class)
+    by_class = [np.flatnonzero(pool.labels == c) for c in range(N_CLASSES)]
+    stratified = all(ix.size > 0 for ix in by_class)
     if stratified:
-        chosen: list[int] = []
-        quotas = apportion(count, [len(ix) for ix in by_class])
-        for ix, q in zip(by_class, quotas):
-            chosen.extend(rng.permutation(ix)[:q].tolist())
+        quotas = apportion(count, [ix.size for ix in by_class])
+        chosen = np.concatenate([rng.permutation(ix)[:q] for ix, q in zip(by_class, quotas)])
     else:
-        chosen = rng.permutation(n)[:count].tolist()
-    chosen_set = set(chosen)
-    subset = [samples[i] for i in sorted(chosen_set)]
-    rest = [samples[i] for i in range(n) if i not in chosen_set]
-    return subset, rest, stratified
+        chosen = rng.permutation(n)[:count]
+    mask = np.zeros(n, dtype=bool)
+    mask[chosen] = True
+    return SplitResult(pool.take(mask), pool.take(~mask), stratified)
 
 
 def split_labeled(
@@ -379,10 +392,8 @@ def split_labeled(
     if (fraction is None) == (count is None):
         raise ValueError("give exactly one of fraction or count")
     pool = dataset.by_domain(domain)
-    n = len(pool)
     if fraction is not None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
-        count = int(round(fraction * n))
-    labeled, evaluation, stratified = stratified_subset(pool, count, seed)
-    return SplitResult(labeled=labeled, evaluation=evaluation, stratified=stratified)
+        count = int(round(fraction * len(pool)))
+    return stratified_subset(pool, count, seed)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import N_CLASSES, features_matrix, labels_vector, stratified_subset
+from .data import N_CLASSES, Dataset, features_matrix, stratified_subset
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,15 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
     )
 
 
-def evaluate(model, samples) -> EvalReport:
+def evaluate(model, samples: Dataset) -> EvalReport:
     """Evaluate any model exposing predict_proba over raw features."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample set")
     scores = model.predict_proba(features_matrix(samples))
-    return evaluate_scores(scores, labels_vector(samples))
+    return evaluate_scores(scores, samples.labels)
 
 
-def accuracy_of(model, samples) -> float:
+def accuracy_of(model, samples: Dataset) -> float:
     """Fraction of ``samples`` whose argmax score is the label; non-finite
     scores raise ValueError, as in `evaluate_scores`."""
     if not samples:
@@ -155,7 +155,7 @@ def accuracy_of(model, samples) -> float:
     scores = model.predict_proba(features_matrix(samples))
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return float(np.mean(np.argmax(scores, axis=1) == labels_vector(samples)))
+    return float(np.mean(np.argmax(scores, axis=1) == samples.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +173,8 @@ class CurvePoint:
 
 def accuracy_vs_samples_curve(
     model_factory,
-    pool,
-    eval_samples,
+    pool: Dataset,
+    eval_samples: Dataset,
     grid,
     seed: int = 0,
     n_repeats: int = 1,
@@ -203,7 +203,7 @@ def accuracy_vs_samples_curve(
         for r in range(n_repeats):
             child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(gi, r))
             subset_seed = int(child.generate_state(1)[0])
-            subset, _, _ = stratified_subset(pool, g, subset_seed)
+            subset = stratified_subset(pool, g, subset_seed).labeled
             model = model_factory(subset, subset_seed)
             accs.append(accuracy_of(model, eval_samples))
         arr = np.array(accs)

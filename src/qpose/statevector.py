@@ -100,9 +100,6 @@ class QuantumState:
         a = self.amplitudes
         return a.real * a.real + a.imag * a.imag
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy())
-
 
 def _check_qubit(qubit: int, n_qubits: int) -> None:
     if not 0 <= qubit < n_qubits:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .baselines import GnbModel, KnnModel
-from .data import Dataset, Domain, FeatureNormalizer, features_matrix, labels_vector, split_labeled
+from .data import Dataset, Domain, FeatureNormalizer, features_matrix, split_labeled
 from .evaluation import accuracy_of, evaluate
 from .neural import AdamW, DnnModel
 from .quantum_classifier import DressedQnnModel, StdAnsatz
@@ -126,15 +126,15 @@ def _step(model, optimizer: AdamW, x, y, needed) -> tuple[float, str | None]:
     return loss, None
 
 
-def _sgd_epochs(model, samples, config: TrainConfig, frozen, eval_samples) -> TrainTrace:
+def _sgd_epochs(model, data: Dataset, config: TrainConfig, frozen, eval_data) -> TrainTrace:
     """Shared mini-batch loop. The last incomplete batch is kept; per-epoch
     loss is the mean over batch losses. A step that yields a non-finite
     loss, gradient, moment or parameter, or an epoch whose evaluation scores
     come out non-finite, raises `NonFiniteLossError` naming it, before the
     model is used again."""
-    x = features_matrix(samples)
-    y = labels_vector(samples)
-    n = len(samples)
+    x = features_matrix(data)
+    y = data.labels
+    n = len(data)
     needed = None if not frozen else set(model.params) - frozen
     optimizer = AdamW(lr=config.lr, weight_decay=config.weight_decay, frozen=frozen)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -153,7 +153,7 @@ def _sgd_epochs(model, samples, config: TrainConfig, frozen, eval_samples) -> Tr
             batch_losses.append(loss)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                accuracy = accuracy_of(model, eval_samples or samples)
+                accuracy = accuracy_of(model, eval_data or data)
             except ValueError as exc:
                 raise NonFiniteLossError(f"evaluation {exc} at epoch {epoch}" + diverged) from exc
         trace.records.append(EpochRecord(epoch=epoch,
@@ -162,7 +162,7 @@ def _sgd_epochs(model, samples, config: TrainConfig, frozen, eval_samples) -> Tr
     return trace
 
 
-def pretrain(model, labeled, config: TrainConfig, eval_samples=None) -> TrainTrace:
+def pretrain(model, labeled: Dataset, config: TrainConfig, eval_samples=None) -> TrainTrace:
     """Train ``model`` in place on the labeled source subset.
 
     Per-epoch accuracy in the trace is measured on ``eval_samples`` when
@@ -173,8 +173,8 @@ def pretrain(model, labeled, config: TrainConfig, eval_samples=None) -> TrainTra
     return _sgd_epochs(model, labeled, config, frozenset(), eval_samples)
 
 
-def fit_model(kind: str, samples, *, config: TrainConfig, qubits: int = 10, layers: int = 1,
-              k: int = 5, eval_samples=None):
+def fit_model(kind: str, samples: Dataset, *, config: TrainConfig, qubits: int = 10,
+              layers: int = 1, k: int = 5, eval_samples=None):
     """Build a ``kind`` model on ``samples`` with a normalizer fitted on
     them. kNN and GNB are fitted directly; the DNN and the QNN are
     initialized from ``config.seed`` and pretrained.

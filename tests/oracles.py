@@ -12,9 +12,10 @@ The exceptions are the single-state helpers (`apply_ry`, `apply_cz`,
 kernels, which the tests check against the Kronecker oracle, and serve as
 the slower reference for the light-cone evaluation in `z_from_angles`.
 
-`loop_binary_roc` and `csv_text_by_value` are the loop forms of the
-array-at-a-time ROC sweep and CSV rendering in the package: one tie group
-and one float at a time, with Python integers.
+`loop_binary_roc`, `csv_text_by_value` and `loop_stratified_subset` are
+the loop forms of the array-at-a-time ROC sweep, CSV rendering and subset
+draw in the package: one tie group, one float and one row at a time, with
+Python integers and lists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from qpose.data import CSV_HEADER
+from qpose.data import CSV_HEADER, N_CLASSES, apportion
 from qpose.statevector import (
     GateKind,
     GateOp,
@@ -206,10 +207,31 @@ def loop_binary_roc(scores, positive):
 def csv_text_by_value(dataset) -> str:
     """The canonical dataset CSV text, one `repr(float(v))` per feature."""
     lines = [CSV_HEADER]
-    for s in dataset.samples:
-        feats = ",".join(repr(float(v)) for v in s.features)
-        lines.append(f"{s.label},{s.domain.value},{s.session},{feats}")
+    for label, domain, session, row in zip(dataset.labels.tolist(), dataset.domain.tolist(),
+                                           dataset.session.tolist(), dataset.samples):
+        feats = ",".join(repr(float(v)) for v in row)
+        lines.append(f"{label},{domain},{session},{feats}")
     return "\n".join(lines) + "\n"
+
+
+def loop_stratified_subset(labels, count: int, seed: int):
+    """(chosen, rest, stratified) of the per-row `stratified_subset`: the
+    row indices of each part in pool order. Each class's pool is a list
+    built one row at a time and permuted from the same seeded stream."""
+    labels = list(labels)
+    n = len(labels)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    by_class = [[i for i, label in enumerate(labels) if label == c] for c in range(N_CLASSES)]
+    stratified = all(len(ix) > 0 for ix in by_class)
+    if stratified:
+        chosen: list[int] = []
+        quotas = apportion(count, [len(ix) for ix in by_class])
+        for ix, q in zip(by_class, quotas):
+            chosen.extend(rng.permutation(ix)[:q].tolist())
+    else:
+        chosen = rng.permutation(n)[:count].tolist()
+    chosen_set = set(chosen)
+    return sorted(chosen_set), [i for i in range(n) if i not in chosen_set], stratified
 
 
 def central_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

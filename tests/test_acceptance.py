@@ -136,13 +136,14 @@ def test_auc_matches_pairwise_oracle(capsys):
 
 
 def test_transfer_freeze_is_bitwise(capsys):
-    from qpose.data import BeamSnrSample, Domain, N_FEATURES
+    from qpose.data import Dataset, Domain, N_FEATURES
     from qpose.training import TransferConfig, transfer_finetune
 
     rng = np.random.default_rng(3)
     model = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(4, 1), seed=0)
-    few = [BeamSnrSample(rng.normal(size=N_FEATURES), int(rng.integers(0, 8)),
-                         Domain.TARGET, 0) for _ in range(12)]
+    draws = [(rng.normal(size=N_FEATURES), int(rng.integers(0, 8))) for _ in range(12)]
+    few = Dataset(np.stack([x for x, _ in draws]), [label for _, label in draws],
+                  [Domain.TARGET] * 12, [0] * 12)
     before = {k: v.copy() for k, v in model.params.items()}
     transfer_finetune(model, few, TransferConfig(n_transfer=12, epochs=4, seed=1))
     frozen_ok = all((before[k] == model.params[k]).all()

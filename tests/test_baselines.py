@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gnb_posteriors_direct
+from rows import rows
 from qpose.baselines import GnbModel, KnnModel
-from qpose.data import BeamSnrSample, Domain, FeatureNormalizer, N_CLASSES, N_FEATURES
+from qpose.data import FeatureNormalizer, N_CLASSES, N_FEATURES
 
 
 def embed(points_2d, labels):
     """Lift 2-D toy points into the 36-dim feature space (rest zeros)."""
-    samples = []
-    for (a, b), label in zip(points_2d, labels):
-        feats = np.zeros(N_FEATURES)
-        feats[0], feats[1] = a, b
-        samples.append(BeamSnrSample(feats, label, Domain.SOURCE, 0))
-    return samples
+    return rows(lift(points_2d), labels)
 
 
-def lift(rows):
-    out = np.zeros((len(rows), N_FEATURES))
-    out[:, :2] = rows
+def lift(points_2d):
+    out = np.zeros((len(points_2d), N_FEATURES))
+    out[:, :2] = points_2d
     return out
 
 
@@ -50,8 +46,7 @@ class TestKnn:
         rng = np.random.default_rng(0)
         x_train = rng.normal(size=(30, N_FEATURES))
         y_train = rng.integers(0, N_CLASSES, 30)
-        train = [BeamSnrSample(x_train[i], int(y_train[i]), Domain.SOURCE, 0)
-                 for i in range(30)]
+        train = rows(x_train, y_train)
         m = KnnModel.fit(train, FeatureNormalizer.identity(), k=3)
         queries = rng.normal(size=(10, N_FEATURES))
         scores = m.predict_proba(queries)
@@ -65,8 +60,7 @@ class TestKnn:
         rng = np.random.default_rng(5)
         x_train = rng.normal(size=(40, N_FEATURES)).round(1)
         y_train = rng.integers(0, N_CLASSES, 40)
-        train = [BeamSnrSample(x_train[i], int(y_train[i]), Domain.SOURCE, 0)
-                 for i in range(40)]
+        train = rows(x_train, y_train)
         m = KnnModel.fit(train, FeatureNormalizer.identity(), k=5)
         queries = np.concatenate([rng.normal(size=(600, N_FEATURES)).round(1), x_train])
         d2 = ((queries[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
@@ -78,10 +72,9 @@ class TestKnn:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(12, N_FEATURES))
         y = rng.integers(0, N_CLASSES, 12)
-        train = [BeamSnrSample(x[i], int(y[i]), Domain.SOURCE, 0) for i in range(12)]
         norm = FeatureNormalizer.identity()
-        single = KnnModel.fit(train, norm, k=2)
-        doubled = KnnModel.fit(train + train, norm, k=4)
+        single = KnnModel.fit(rows(x, y), norm, k=2)
+        doubled = KnnModel.fit(rows(np.concatenate([x, x]), np.concatenate([y, y])), norm, k=4)
         q = rng.normal(size=(6, N_FEATURES))
         np.testing.assert_allclose(single.predict_proba(q), doubled.predict_proba(q), atol=1e-12)
 
@@ -104,8 +97,8 @@ class TestKnn:
         x = rng.normal(size=(25, N_FEATURES))
         y = rng.integers(0, N_CLASSES, 25)
         norm = FeatureNormalizer.identity()
-        base = [BeamSnrSample(x[i], int(y[i]), Domain.SOURCE, 0) for i in range(25)]
-        scaled = [BeamSnrSample(x[i] * 7.5, int(y[i]), Domain.SOURCE, 0) for i in range(25)]
+        base = rows(x, y)
+        scaled = rows(x * 7.5, y)
         q = rng.normal(size=(8, N_FEATURES))
         a = KnnModel.fit(base, norm, k=5).predict_proba(q)
         b = KnnModel.fit(scaled, norm, k=5).predict_proba(q * 7.5)
@@ -115,15 +108,14 @@ class TestKnn:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, N_FEATURES))
         y = rng.integers(0, N_CLASSES, 20)
-        train = [BeamSnrSample(x[i], int(y[i]), Domain.SOURCE, 0) for i in range(20)]
+        train = rows(x, y)
         q = rng.normal(size=(5, N_FEATURES))
         m = KnnModel.fit(train, FeatureNormalizer.identity(), k=5)
         assert (m.predict_proba(q) == m.predict_proba(q)).all()
 
 
 def gnb_from_arrays(x, y, norm=None):
-    samples = [BeamSnrSample(x[i], int(y[i]), Domain.SOURCE, 0) for i in range(len(y))]
-    return GnbModel.fit(samples, norm or FeatureNormalizer.identity())
+    return GnbModel.fit(rows(x, y), norm or FeatureNormalizer.identity())
 
 
 class TestGnb:

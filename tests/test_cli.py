@@ -87,6 +87,26 @@ class TestGen:
         assert doc["seed"] == 1
         assert len(doc["dataset_sha256"]) == 64
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise-source", "nan", "noise_sigma_source must be finite and nonnegative, got nan"),
+        ("--offset-scale", "inf", "mean_offset_scale must be finite and nonnegative, got inf"),
+        ("--shift", "inf", "shift_scale must be finite and nonnegative, got inf"),
+        ("--shift", "nan", "shift_scale must be finite and nonnegative, got nan"),
+        # finite flags whose draw overflows float64 fail the dataset's check
+        ("--gain-spread", "1e308", "features must be finite"),
+    ])
+    def test_bad_shift_flag_prints_only_the_error_document(self, tmp_path, flag, value,
+                                                           message):
+        out = tmp_path / "gen"
+        proc = run_proc(["gen", "--seed", "1", "--n-source", "40", "--n-target", "40",
+                         flag, value, "--out-dir", str(out)])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        doc = json.loads(lines[0])
+        assert doc == {"error": "ValueError", "message": message}
+        assert not any(out.iterdir())
+
 
 class TestTrain:
     def test_qnn_summary_reports_18_quantum_params(self, dataset, tmp_path):

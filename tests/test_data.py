@@ -1,7 +1,8 @@
-"""Dataset model, CSV round-trip, synthetic generator, stratified splits."""
+"""Columnar dataset, CSV round-trip, synthetic generator, stratified splits."""
 
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,19 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import csv_text_by_value
+from oracles import csv_text_by_value, loop_stratified_subset
+from rows import rows
 from qpose.data import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
     CsvFormatError,
-    BeamSnrSample,
     Dataset,
     Domain,
     FeatureNormalizer,
     N_CLASSES,
     N_FEATURES,
+    SOURCE_SESSIONS,
     ShiftSpec,
     TARGET_CLASS_WEIGHTS,
+    TARGET_SESSIONS,
     apportion,
     dataset_sha256,
     features_matrix,
@@ -36,35 +39,110 @@ from qpose.data import (
 
 def tiny_dataset():
     rng = np.random.default_rng(0)
-    samples = [
-        BeamSnrSample(rng.normal(size=N_FEATURES), c % N_CLASSES,
-                      Domain.SOURCE if c % 2 else Domain.TARGET, session=c % 3)
-        for c in range(24)
-    ]
-    return Dataset(samples)
+    c = np.arange(24)
+    return Dataset(rng.normal(size=(24, N_FEATURES)), c % N_CLASSES,
+                   np.where(c % 2, "source", "target"), c % 3)
+
+
+def columns(n=3):
+    """Valid columns of ``n`` rows, to break one rule at a time."""
+    return {"samples": np.zeros((n, N_FEATURES)), "labels": np.arange(n) % N_CLASSES,
+            "domain": ["source"] * n, "session": np.zeros(n, dtype=np.int64)}
 
 
 class TestSample:
+    """What a row may hold: the Dataset constructor's rules, one test each,
+    checked a column at a time."""
+
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            BeamSnrSample(np.zeros(35), 0, Domain.SOURCE, 0)
+        for shape in ((3, 35), (N_FEATURES,), (3, N_FEATURES, 1)):
+            with pytest.raises(ValueError, match=r"expected \(n, 36\) features"):
+                Dataset(**columns() | {"samples": np.zeros(shape)})
 
     def test_nonfinite_rejected(self):
-        feats = np.zeros(N_FEATURES)
-        feats[7] = np.nan
-        with pytest.raises(ValueError):
-            BeamSnrSample(feats, 0, Domain.SOURCE, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            feats = np.zeros((3, N_FEATURES))
+            feats[1, 7] = bad
+            with pytest.raises(ValueError, match="^features must be finite$"):
+                Dataset(**columns() | {"samples": feats})
 
     def test_label_range(self):
-        with pytest.raises(ValueError):
-            BeamSnrSample(np.zeros(N_FEATURES), 8, Domain.SOURCE, 0)
-        with pytest.raises(ValueError):
-            BeamSnrSample(np.zeros(N_FEATURES), -1, Domain.SOURCE, 0)
+        for label in (8, -1):
+            with pytest.raises(ValueError, match="^labels must lie in 0..7$"):
+                Dataset(**columns() | {"labels": [0, 1, label]})
 
     def test_features_are_read_only(self):
-        s = BeamSnrSample(np.zeros(N_FEATURES), 0, Domain.SOURCE, 0)
-        with pytest.raises(ValueError):
-            s.features[0] = 1.0
+        ds = Dataset(**columns())
+        for column in (ds.samples, ds.labels, ds.domain, ds.session):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="^labels must be integers"):
+            Dataset(**columns() | {"labels": [0.0, 1.5, 2.0]})
+
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError, match=r"^domain must be one of \['source', 'target'\]$"):
+            Dataset(**columns() | {"domain": ["sink", "source", "target"]})
+
+    def test_non_integer_session_rejected(self):
+        with pytest.raises(ValueError, match="^session must be integers"):
+            Dataset(**columns() | {"session": [0.0, 1.0, 2.5]})
+
+    @pytest.mark.parametrize("name, short", [("labels", [0, 1]), ("domain", ["source"]),
+                                             ("session", [0, 1, 2, 3])])
+    def test_unequal_column_lengths_rejected(self, name, short):
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            Dataset(**columns() | {name: short})
+
+    def test_domain_members_held_as_values(self):
+        ds = Dataset(**columns() | {"domain": [Domain.SOURCE, Domain.TARGET, "target"]})
+        assert ds.domain.tolist() == ["source", "target", "target"]
+        assert ds.labels.dtype == ds.session.dtype == np.int64
+
+    def test_empty_dataset(self):
+        ds = Dataset(np.empty((0, N_FEATURES)), [], [], [])
+        assert len(ds) == 0 and not ds
+        assert ds.class_counts(Domain.SOURCE).tolist() == [0] * N_CLASSES
+
+
+class TestColumns:
+    def test_take_copies_rows_in_index_order(self):
+        ds = tiny_dataset()
+        sub = ds.take(np.array([5, 0, 7]))
+        assert np.array_equal(sub.samples, ds.samples[[5, 0, 7]])
+        assert sub.labels.tolist() == [5, 0, 7]
+        assert sub.domain.tolist() == ["source", "target", "source"]
+        assert sub.session.tolist() == [2, 0, 1]
+        assert not np.shares_memory(sub.samples, ds.samples)
+        assert not sub.samples.flags.writeable
+
+    def test_by_domain_keeps_pool_order(self):
+        ds = tiny_dataset()
+        src = ds.by_domain(Domain.SOURCE)
+        assert np.array_equal(src.samples, ds.samples[1::2])
+        assert set(src.domain.tolist()) == {"source"}
+        assert len(ds.by_domain("target")) == 12
+
+    def test_class_counts_equal_row_count_per_class(self):
+        ds = generate_synthetic(90, 70, ShiftSpec(seed=2))
+        for domain in Domain:
+            labels = [label for label, d in zip(ds.labels.tolist(), ds.domain.tolist())
+                      if d == domain.value]
+            want = [labels.count(c) for c in range(N_CLASSES)]
+            assert ds.class_counts(domain).tolist() == want
+
+    def test_features_matrix_is_the_samples_column(self):
+        ds = tiny_dataset()
+        assert features_matrix(ds) is ds.samples
+        assert len(load_csv_of(ds).samples) == len(ds) == 24
+
+
+def load_csv_of(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        write_csv(ds, path)
+        return load_csv(path)
 
 
 class TestCsv:
@@ -73,10 +151,9 @@ class TestCsv:
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
         back = load_csv(path)
-        assert len(back.samples) == len(ds.samples)
-        for a, b in zip(ds.samples, back.samples):
-            assert (a.features == b.features).all()
-            assert (a.label, a.domain, a.session) == (b.label, b.domain, b.session)
+        assert len(back) == len(ds)
+        for name in ("samples", "labels", "domain", "session"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name)), name
 
     def test_three_row_file(self, tmp_path):
         rows = []
@@ -86,7 +163,7 @@ class TestCsv:
         path = tmp_path / "three.csv"
         path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         ds = load_csv(path)
-        assert [s.label for s in ds.samples] == [0, 3, 7]
+        assert ds.labels.tolist() == [0, 3, 7]
 
     def test_short_row_names_line(self, tmp_path):
         feats35 = ",".join(["0.0"] * 35)
@@ -122,8 +199,46 @@ class TestCsv:
             with pytest.raises(CsvFormatError, match="line 3"):
                 load_csv(path)
         else:
-            got = load_csv(path).samples[1].features[4]
+            got = load_csv(path).samples[1, 4]
             assert np.float64(want).tobytes() == got.tobytes()
+
+    FEATS = ",".join(["0.0"] * N_FEATURES)
+    NAN_ROW = "0,source,1,nan," + ",".join(["0.0"] * (N_FEATURES - 1))
+
+    @pytest.mark.parametrize("bad, message", [
+        (f"9,target,1,{FEATS}", "label 9 outside 0..7"),
+        (f"{10**30},target,1,{FEATS}", f"label {10**30} outside 0..7"),
+        (f"x,target,1,{FEATS}", "invalid literal for int() with base 10: 'x'"),
+        (f"0,sink,1,{FEATS}", "'sink' is not a valid Domain"),
+        (f"0,source,1.5,{FEATS}", "invalid literal for int() with base 10: '1.5'"),
+        (f"0,source,{2**63},{FEATS}", f"session {2**63} outside the int64 range"),
+        ("0,source,1," + ",".join(["0.0"] * (N_FEATURES - 1)), "expected 39 fields, got 38"),
+        (NAN_ROW, "features must be finite"),
+        ("9" + NAN_ROW[1:], "features must be finite"),
+        ("0,source,1,abc," + ",".join(["0.0"] * (N_FEATURES - 1)),
+         "could not convert string to float: 'abc'"),
+    ], ids=["label", "huge-label", "label-text", "domain", "session-text", "huge-session",
+            "fields", "nan", "nan-and-label", "unparsable"])
+    @pytest.mark.parametrize("good_rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 87])
+    def test_bad_row_names_its_line(self, tmp_path, bad, message, good_rows):
+        # the bad row sits in the first block, at its last row, or in the
+        # second block, with blank lines counted
+        good = f"0,source,1,{self.FEATS}"
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n\n" + f"{good}\n" * good_rows + bad + "\n" + good + "\n",
+                        encoding="utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"line {good_rows + 3}: {message}"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a non-finite row ahead of an unparsable one in the same block
+        good = f"0,source,1,{self.FEATS}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, good, self.NAN_ROW, good, f"0,sink,1,{self.FEATS}"])
+                        + "\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="^line 3: features must be finite$"):
+            load_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -147,16 +262,16 @@ FEATURE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
 
 
 def rows_dataset(features, meta):
-    return Dataset([BeamSnrSample(f, label, domain, session)
-                    for f, (label, domain, session) in zip(features, meta)])
+    labels, domains, sessions = zip(*meta[: len(features)])
+    return Dataset(features, list(labels), list(domains), list(sessions))
 
 
 class TestCanonicalText:
     def test_text_and_file_equal_per_value_oracle(self, tmp_path):
         ds = generate_synthetic(2 * CSV_BLOCK_ROWS, 100, ShiftSpec(seed=5))
-        feats = np.stack([s.features for s in ds.samples])
+        feats = ds.samples.copy()
         feats.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
-        ds = rows_dataset(feats, [(s.label, s.domain, s.session) for s in ds.samples])
+        ds = Dataset(feats, ds.labels, ds.domain, ds.session)
         want = csv_text_by_value(ds)
         path = tmp_path / "ds.csv"
         digest = write_csv(ds, path)
@@ -165,7 +280,8 @@ class TestCanonicalText:
 
     def test_empty_dataset_is_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
-        assert write_csv(Dataset([]), path) == dataset_sha256(Dataset([]))
+        empty = Dataset(np.empty((0, N_FEATURES)), [], [], [])
+        assert write_csv(empty, path) == dataset_sha256(empty)
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
     @given(features=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(N_FEATURES)),
@@ -180,10 +296,9 @@ class TestCanonicalText:
             digest = write_csv(ds, path)
             data = path.read_bytes()
             back = load_csv(path)
-        assert len(back.samples) == len(ds.samples)
-        for a, b in zip(ds.samples, back.samples):
-            assert a.features.tobytes() == b.features.tobytes()
-            assert (a.label, a.domain, a.session) == (b.label, b.domain, b.session)
+        assert back.samples.tobytes() == ds.samples.tobytes()
+        for name in ("labels", "domain", "session"):
+            assert getattr(back, name).tolist() == getattr(ds, name).tolist(), name
         assert digest == dataset_sha256(ds) == dataset_sha256(back)
         assert digest == hashlib.sha256(data).hexdigest()
 
@@ -213,8 +328,8 @@ class TestGenerator:
         src = ds.by_domain(Domain.SOURCE)
         tgt = ds.by_domain(Domain.TARGET)
         for c in range(N_CLASSES):
-            xs = features_matrix([s for s in src if s.label == c])
-            xt = features_matrix([s for s in tgt if s.label == c])
+            xs = features_matrix(src)[src.labels == c]
+            xt = features_matrix(tgt)[tgt.labels == c]
             n = min(len(xs), len(xt))
             bound = 3 * 2.0 / np.sqrt(n)
             assert np.abs(xs.mean(axis=0) - xt.mean(axis=0)).max() < bound * 2
@@ -234,18 +349,59 @@ class TestGenerator:
         with pytest.raises(ValueError):
             ShiftSpec(feature_gain_spread=-0.1)
 
+    @pytest.mark.parametrize("field", ["mean_offset_scale", "feature_gain_spread",
+                                       "noise_sigma_source", "noise_sigma_target"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative, got"):
+            ShiftSpec(**{field: value})
+
+    def test_non_finite_or_overflowing_shift_scale_rejected(self):
+        for value in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="^shift_scale must be finite and nonnegative"):
+                ShiftSpec().scaled(value)
+        with pytest.raises(ValueError, match="^mean_offset_scale must be finite and nonnegative,"
+                                             " got inf$"):
+            ShiftSpec().scaled(1e308)
+
+    def test_overflowing_draw_fails_the_finite_check_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in (ShiftSpec(feature_gain_spread=1e308),
+                         ShiftSpec(noise_sigma_source=1e308, noise_sigma_target=1e308)):
+                with pytest.raises(ValueError, match="features must be finite$"):
+                    generate_synthetic(40, 40, spec)
+
+    def test_rows_and_draws_pinned(self):
+        # canonical-text digests of small datasets drawn by the per-sample
+        # generator this one replaced; a zero-weight class draws no rows
+        ds = generate_synthetic(40, 30, ShiftSpec(seed=3))
+        assert dataset_sha256(ds) == (
+            "36562c5a8eea3fec5c01555eb7270dce55bb1db34f1bfb8169a40b5c38599584")
+        ds = generate_synthetic(13, 9, ShiftSpec(seed=21), source_weights=(1, 0, 2, 0, 3, 0, 4, 5))
+        assert dataset_sha256(ds) == (
+            "c234883576c12fea7dff76cb167ef2d08239123cd9501d983545793fba370966")
+
+    def test_sessions_cycle_within_each_class(self):
+        ds = generate_synthetic(100, 90, ShiftSpec(seed=1))
+        for domain, sessions in ((Domain.SOURCE, SOURCE_SESSIONS),
+                                 (Domain.TARGET, TARGET_SESSIONS)):
+            part = ds.by_domain(domain)
+            assert np.all(np.diff(part.labels) >= 0)
+            for c in range(N_CLASSES):
+                got = part.session[part.labels == c].tolist()
+                assert got == [sessions[i % len(sessions)] for i in range(len(got))]
+
     def test_sanity_ceiling_zero_noise_zero_shift(self):
         spec = ShiftSpec(mean_offset_scale=0.0, feature_gain_spread=0.0,
                          noise_sigma_source=0.0, noise_sigma_target=0.0, seed=2)
         ds = generate_synthetic(80, 80, spec)
         # without noise or shift every sample, target included, sits on its
         # class anchor
-        anchors = np.stack([next(s.features for s in ds.samples if s.label == c)
-                            for c in range(N_CLASSES)])
-        for s in ds.samples:
-            assert (s.features == anchors[s.label]).all()
-            d = np.linalg.norm(anchors - s.features, axis=1)
-            assert int(np.argmin(d)) == s.label
+        anchors = ds.samples[[np.flatnonzero(ds.labels == c)[0] for c in range(N_CLASSES)]]
+        assert (ds.samples == anchors[ds.labels]).all()
+        d = np.linalg.norm(anchors[None, :, :] - ds.samples[:, None, :], axis=2)
+        assert (np.argmin(d, axis=1) == ds.labels).all()
 
 
 class TestApportion:
@@ -264,24 +420,36 @@ class TestApportion:
         assert apportion(3, [2, 1]) == [2, 1]
 
 
+def indexed_rows(labels):
+    """A source dataset whose row i has every feature equal to i."""
+    index = np.arange(len(labels), dtype=np.float64)
+    return rows(np.repeat(index[:, None], N_FEATURES, axis=1), labels)
+
+
+def ids(part):
+    return part.samples[:, 0].astype(int).tolist()
+
+
 class TestSplit:
     def test_fraction_one_gives_empty_evaluation(self):
         split = split_labeled(tiny_dataset(), Domain.SOURCE, fraction=1.0, seed=0)
-        assert split.evaluation == []
+        assert len(split.evaluation) == 0 and not split.evaluation
         assert len(split.labeled) == 12
 
     def test_disjoint_and_exhaustive(self):
         ds = generate_synthetic(120, 120, ShiftSpec(seed=4))
         split = split_labeled(ds, Domain.SOURCE, fraction=0.3, seed=1)
-        ids = lambda xs: {id(s) for s in xs}
+        # continuous random features: the first one identifies a row
+        ids = lambda part: set(part.samples[:, 0].tolist())
         assert ids(split.labeled) & ids(split.evaluation) == set()
         assert ids(split.labeled) | ids(split.evaluation) == ids(ds.by_domain(Domain.SOURCE))
+        assert len(split.labeled) + len(split.evaluation) == len(ds.by_domain(Domain.SOURCE))
 
     def test_same_seed_identical(self):
         ds = generate_synthetic(200, 200, ShiftSpec(seed=8))
         a = split_labeled(ds, Domain.TARGET, count=50, seed=3)
         b = split_labeled(ds, Domain.TARGET, count=50, seed=3)
-        assert [id(s) for s in a.labeled] == [id(s) for s in b.labeled]
+        assert np.array_equal(a.labeled.samples, b.labeled.samples)
 
     def test_count_and_fraction_mutually_exclusive(self):
         ds = tiny_dataset()
@@ -298,13 +466,11 @@ class TestSplit:
         ds = generate_synthetic(400, 400, ShiftSpec(seed=1))
         split = split_labeled(ds, Domain.SOURCE, fraction=0.25, seed=0)
         assert split.stratified
-        labels = [s.label for s in split.labeled]
         # every class contributes to the labeled subset
-        assert set(labels) == set(range(N_CLASSES))
+        assert set(split.labeled.labels.tolist()) == set(range(N_CLASSES))
 
     def test_unstratified_fallback_flag(self):
-        feats = np.zeros(N_FEATURES)
-        samples = [BeamSnrSample(feats, 0, Domain.SOURCE, 0) for _ in range(10)]
+        samples = rows(np.zeros((10, N_FEATURES)), np.zeros(10, dtype=int))
         chosen, rest, stratified = stratified_subset(samples, 4, seed=0)
         assert not stratified
         assert len(chosen) == 4 and len(rest) == 6
@@ -313,27 +479,33 @@ class TestSplit:
            data=st.data(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_split_meets_class_quotas_property(self, labels, data, seed):
-        samples = [BeamSnrSample(np.full(N_FEATURES, float(i)), label, Domain.SOURCE, 0)
-                   for i, label in enumerate(labels)]
+        samples = indexed_rows(labels)
         count = data.draw(st.integers(0, len(samples)), label="count")
         chosen, rest, stratified = stratified_subset(samples, count, seed)
-        ids = lambda xs: [id(s) for s in xs]
         # disjoint and covering, each part in pool order
-        assert sorted(ids(chosen) + ids(rest)) == sorted(ids(samples))
-        chosen_ids = set(ids(chosen))
-        assert ids(chosen) == [id(s) for s in samples if id(s) in chosen_ids]
-        assert ids(rest) == [id(s) for s in samples if id(s) not in chosen_ids]
+        assert sorted(ids(chosen) + ids(rest)) == list(range(len(labels)))
+        assert ids(chosen) == sorted(ids(chosen)) and ids(rest) == sorted(ids(rest))
         per_class = np.bincount(labels, minlength=N_CLASSES)
         assert stratified == bool((per_class > 0).all())
-        got = np.bincount([s.label for s in chosen], minlength=N_CLASSES)
+        got = np.bincount(chosen.labels, minlength=N_CLASSES)
         assert got.sum() == count
         if stratified:
             assert got.tolist() == apportion(count, per_class)
 
-        ds = Dataset(samples)
-        split = split_labeled(ds, Domain.SOURCE, count=count, seed=seed)
+        split = split_labeled(samples, Domain.SOURCE, count=count, seed=seed)
         assert ids(split.labeled) == ids(chosen) and ids(split.evaluation) == ids(rest)
         assert split.stratified == stratified
+
+    @given(labels=st.lists(st.integers(0, N_CLASSES - 1), min_size=1, max_size=80),
+           data=st.data(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_subset_matches_per_sample_loop_oracle(self, labels, data, seed):
+        count = data.draw(st.integers(0, len(labels)), label="count")
+        chosen, rest, stratified = stratified_subset(indexed_rows(labels), count, seed)
+        want_chosen, want_rest, want_stratified = loop_stratified_subset(labels, count, seed)
+        assert ids(chosen) == want_chosen and ids(rest) == want_rest
+        assert stratified == want_stratified
+        assert chosen.labels.tolist() == [labels[i] for i in want_chosen]
 
     @given(count=st.integers(0, 40), seed=st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
@@ -341,6 +513,7 @@ class TestSplit:
         ds = generate_synthetic(40, 40, ShiftSpec(seed=0))
         pool = ds.by_domain(Domain.SOURCE)
         chosen, rest, _ = stratified_subset(pool, count, seed)
+        assert isinstance(chosen, Dataset) and isinstance(rest, Dataset)
         assert len(chosen) == count
         assert len(chosen) + len(rest) == len(pool)
 
@@ -355,9 +528,7 @@ class TestNormalizer:
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_feature_keeps_unit_scale(self):
-        samples = [BeamSnrSample(np.full(N_FEATURES, 4.0), 0, Domain.SOURCE, 0)
-                   for _ in range(5)]
-        norm = FeatureNormalizer.fit(samples)
+        norm = FeatureNormalizer.fit(rows(np.full((5, N_FEATURES), 4.0), np.zeros(5, dtype=int)))
         z = norm.transform(np.full((2, N_FEATURES), 4.0))
         np.testing.assert_allclose(z, 0.0, atol=1e-15)
 

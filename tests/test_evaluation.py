@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_binary_roc, pairwise_auc
+from rows import rows
 from qpose.data import (
-    BeamSnrSample,
     Domain,
     FeatureNormalizer,
     N_CLASSES,
@@ -48,8 +48,7 @@ class ScoreTable:
 
 
 def make_samples(labels):
-    feats = np.zeros(N_FEATURES)
-    return [BeamSnrSample(feats, int(c), Domain.TARGET, 0) for c in labels]
+    return rows(np.zeros((len(labels), N_FEATURES)), labels, Domain.TARGET)
 
 
 class TestBinaryRoc:

@@ -97,7 +97,7 @@ class TestRegistry:
     def test_unknown_kind_not_fitted(self):
         ds = generate_synthetic(16, 16, ShiftSpec(seed=5))
         with pytest.raises(ValueError, match="kind"):
-            fit_model("svm", ds.samples, config=TrainConfig())
+            fit_model("svm", ds, config=TrainConfig())
 
     @pytest.mark.parametrize("command", ["train", "curve"])
     def test_model_choices_are_the_registry(self, command):

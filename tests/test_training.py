@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from rows import rows
 from qpose.data import (
-    BeamSnrSample,
     Dataset,
     Domain,
     FeatureNormalizer,
@@ -33,8 +33,8 @@ def small_dnn(seed=0):
     return DnnModel.create(FeatureNormalizer.identity(), config=cfg, seed=seed)
 
 
-def one_sample():
-    return [BeamSnrSample(np.zeros(N_FEATURES), 0, Domain.SOURCE, 0)]
+def zero_rows(n=1):
+    return rows(np.zeros((n, N_FEATURES)), np.zeros(n, dtype=int))
 
 
 class FixedGradient:
@@ -65,12 +65,12 @@ def assert_bitwise_equal(a, b, names=None):
 class TestPretrain:
     def test_one_sample_one_epoch_takes_one_step(self):
         model = small_dnn()
-        trace = pretrain(model, one_sample(), TrainConfig(epochs=1, seed=0))
+        trace = pretrain(model, zero_rows(), TrainConfig(epochs=1, seed=0))
         assert trace.total_steps == 1
         assert len(trace.records) == 1
 
     def test_step_count_with_partial_batches(self):
-        samples = one_sample() * 250
+        samples = zero_rows(250)
         model = small_dnn()
         trace = pretrain(model, samples, TrainConfig(batch_size=100, epochs=2, seed=0))
         # 250 samples -> 3 batches per epoch, last one partial but kept
@@ -89,19 +89,19 @@ class TestPretrain:
     def test_lr_zero_is_bitwise_noop(self):
         model = small_dnn(seed=2)
         before = params_snapshot(model)
-        pretrain(model, one_sample() * 30, TrainConfig(epochs=3, lr=0.0, seed=0))
+        pretrain(model, zero_rows(30), TrainConfig(epochs=3, lr=0.0, seed=0))
         assert_bitwise_equal(before, model.params)
 
     def test_zero_epochs_is_noop(self):
         model = small_dnn(seed=3)
         before = params_snapshot(model)
-        trace = pretrain(model, one_sample() * 10, TrainConfig(epochs=0, seed=0))
+        trace = pretrain(model, zero_rows(10), TrainConfig(epochs=0, seed=0))
         assert trace.total_steps == 0
         assert_bitwise_equal(before, model.params)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
-            pretrain(small_dnn(), [], TrainConfig(seed=0))
+            pretrain(small_dnn(), zero_rows(0), TrainConfig(seed=0))
 
     def test_trace_ranges(self):
         ds = generate_synthetic(80, 80, ShiftSpec(seed=4))
@@ -127,7 +127,7 @@ class TestPretrain:
         monkeypatch.setattr(type(model), "loss_and_grad", spy)
         pretrain(model, labeled, TrainConfig(batch_size=7, epochs=1, seed=3))
         visited = np.concatenate(seen)
-        want = np.stack([s.features for s in labeled])
+        want = labeled.samples
         order = np.lexsort(visited.T)
         order_w = np.lexsort(want.T)
         assert (visited[order] == want[order_w]).all()
@@ -143,7 +143,7 @@ class TestPretrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteLossError, match=f"^{named} at epoch 0, step 0 "):
-                pretrain(model, one_sample(), TrainConfig(epochs=3, lr=lr, weight_decay=1.0))
+                pretrain(model, zero_rows(), TrainConfig(epochs=3, lr=lr, weight_decay=1.0))
 
     def test_nonfinite_epoch_evaluation_named_without_warnings(self):
         # lr 1e300 leaves huge but finite weights after the first step; the
