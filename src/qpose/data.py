@@ -302,12 +302,14 @@ def dataset_sha256(dataset: Dataset) -> str:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV a line at a time into blocks of CSV_BLOCK_ROWS
-    feature rows; a bad row raises CsvFormatError naming its line."""
+    """Read a dataset CSV a line at a time into one feature buffer that
+    grows in place (by a quarter, at least CSV_BLOCK_ROWS rows) and is
+    trimmed at the end, so the features are never held twice; a bad row
+    raises CsvFormatError naming its line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    blocks, labels, domain, session = [np.empty((0, N_FEATURES))], [], [], []
+    features, labels, domain, session = np.empty((0, N_FEATURES)), [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
             raise CsvFormatError(f"line 1: bad header, expected `{CSV_HEADER}`")
@@ -316,16 +318,16 @@ def load_csv(path) -> Dataset:
             if not line:
                 continue
             fields = line.split(",")
-            if len(labels) % CSV_BLOCK_ROWS == 0:
-                blocks.append(np.empty((CSV_BLOCK_ROWS, N_FEATURES)))
-            feats = blocks[-1][len(labels) % CSV_BLOCK_ROWS]
+            n = len(labels)
+            if n == len(features):  # no view of the buffer is alive here
+                features.resize((n + max(CSV_BLOCK_ROWS, n // 4), N_FEATURES), refcheck=False)
             try:
                 if len(fields) != 3 + N_FEATURES:
                     raise ValueError(f"expected {3 + N_FEATURES} fields, got {len(fields)}")
                 label, row_domain, row_session = (int(fields[0]), Domain(fields[1]).value,
                                                   int(fields[2]))
-                feats[:] = fields[3:]  # numpy parses each string as float() does
-                if not np.isfinite(feats).all():
+                features[n] = fields[3:]  # numpy parses each string as float() does
+                if not np.isfinite(features[n]).all():
                     raise ValueError("features must be finite")
                 if not 0 <= label < N_CLASSES:
                     raise ValueError(f"label {label} outside 0..{N_CLASSES - 1}")
@@ -336,7 +338,8 @@ def load_csv(path) -> Dataset:
             labels.append(label)
             domain.append(row_domain)
             session.append(row_session)
-    return Dataset(np.concatenate(blocks)[: len(labels)], labels, domain, session)
+    features.resize((len(labels), N_FEATURES), refcheck=False)
+    return Dataset(features, labels, domain, session)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ classifier, softmax cross-entropy with analytic gradients, and decoupled
 AdamW with per-parameter freeze support. Gradients are hand-derived; the
 test suite checks every one against central finite differences.
 
+Softplus is formed from ``exp`` and ``log1p``, which numpy runs as vector
+loops. The training forward keeps each Mish layer's softplus and its tanh,
+and backprop forms Mish' from them without recomputing either; the scoring
+forward keeps no cache and holds only the running activation.
+
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by layer name
 (``in.w``, ``res0.b``, ...). Freezing operates on those names, which is how
 fine-tuning keeps feature layers fixed while the middle trains.
@@ -20,16 +25,27 @@ import numpy as np
 from .data import N_CLASSES, N_FEATURES, FeatureNormalizer, checkpoint_arrays
 
 
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) as log1p(e^-|x|) + max(x, 0): no overflow, exact at
+    large |x|. The max is taken last so that at most two temporaries of
+    x's size are alive at once."""
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
 def mish(x: np.ndarray) -> np.ndarray:
-    """x * tanh(softplus(x)), computed via logaddexp so large |x| is exact."""
-    return x * np.tanh(np.logaddexp(0.0, x))
+    """x * tanh(softplus(x))."""
+    return x * np.tanh(softplus(x))
+
+
+def _mish_grad_parts(x, sp, t):
+    """Mish'(x) from sp = softplus(x) and t = tanh(sp); exp(x - sp) is
+    sigmoid(x) without overflow."""
+    return t + x * np.exp(x - sp) * (1.0 - t * t)
 
 
 def mish_grad(x: np.ndarray) -> np.ndarray:
-    sp = np.logaddexp(0.0, x)
-    t = np.tanh(sp)
-    sig = np.exp(x - sp)  # sigmoid(x) without overflow, exp(x)/(1+exp(x))
-    return t + x * sig * (1.0 - t * t)
+    sp = softplus(x)
+    return _mish_grad_parts(x, sp, np.tanh(sp))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -101,26 +117,40 @@ def dnn_init(config: DnnConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
-def dnn_forward(params: dict[str, np.ndarray], x: np.ndarray, config: DnnConfig):
-    """Logits plus the cached pre-activations needed for backprop.
+def _mish_layers(config: DnnConfig) -> tuple[str, ...]:
+    """Names of the Mish layers in forward order: the input layer, then the
+    residual blocks."""
+    return ("in", *(f"res{i}" for i in range(config.n_blocks)))
 
-    ``x`` is already normalized; takes one sample or a (B, n_features) batch.
+
+def dnn_forward(params: dict[str, np.ndarray], x: np.ndarray, config: DnnConfig,
+                cache: dict | None = None) -> np.ndarray:
+    """Logits of an already normalized sample or (B, n_features) batch.
+
+    Given a ``cache`` dict (training), records for backprop each Mish
+    layer's input, pre-activation z, softplus(z) and tanh(softplus(z)) under
+    the layer's name, and the last hidden state under ``h_out``. Without one
+    (scoring), only the running activation is held.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
-    cache = {"x": x}
-    z0 = x @ params["in.w"] + params["in.b"]
-    h = mish(z0)
-    cache["z_in"] = z0
-    for i in range(config.n_blocks):
-        cache[f"h{i}"] = h
-        z = h @ params[f"res{i}.w"] + params[f"res{i}.b"]
-        cache[f"z{i}"] = z
-        h = h + mish(z)
-    cache["h_out"] = h
-    logits = h @ params["out.w"] + params["out.b"]
-    return logits, cache
+    h = x
+    for name in _mish_layers(config):
+        z = h @ params[f"{name}.w"] + params[f"{name}.b"]
+        if cache is None:
+            a = mish(z)
+        else:
+            sp = softplus(z)
+            t = np.tanh(sp)
+            cache[name] = (h, z, sp, t)
+            a = z * t
+        if name != "in":
+            a += h  # the residual sum, written into the fresh activation
+        h = a
+    if cache is not None:
+        cache["h_out"] = h
+    return h @ params["out.w"] + params["out.b"]
 
 
 def dnn_backward(params, cache, grad_logits, config: DnnConfig):
@@ -129,19 +159,19 @@ def dnn_backward(params, cache, grad_logits, config: DnnConfig):
         "out.b": grad_logits.sum(axis=0),
     }
     gh = grad_logits @ params["out.w"].T
-    for i in reversed(range(config.n_blocks)):
-        gz = gh * mish_grad(cache[f"z{i}"])
-        grads[f"res{i}.w"] = cache[f"h{i}"].T @ gz
-        grads[f"res{i}.b"] = gz.sum(axis=0)
-        gh = gh + gz @ params[f"res{i}.w"].T
-    gz0 = gh * mish_grad(cache["z_in"])
-    grads["in.w"] = cache["x"].T @ gz0
-    grads["in.b"] = gz0.sum(axis=0)
+    for name in reversed(_mish_layers(config)):
+        h, z, sp, t = cache[name]
+        gz = gh * _mish_grad_parts(z, sp, t)
+        grads[f"{name}.w"] = h.T @ gz
+        grads[f"{name}.b"] = gz.sum(axis=0)
+        if name != "in":
+            gh = gh + gz @ params[f"{name}.w"].T
     return grads
 
 
 def dnn_loss_and_grad(params, x, labels, config: DnnConfig):
-    logits, cache = dnn_forward(params, x, config)
+    cache: dict = {}
+    logits = dnn_forward(params, x, config, cache)
     loss, grad_logits = softmax_cross_entropy(logits, labels)
     return loss, dnn_backward(params, cache, grad_logits, config)
 
@@ -175,8 +205,7 @@ class DnnModel:
         return {"total_params": n_params(self.params)}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        out, _ = dnn_forward(self.params, self.normalizer.transform(x), self.config)
-        return out
+        return dnn_forward(self.params, self.normalizer.transform(x), self.config)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(x))

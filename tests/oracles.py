@@ -16,6 +16,11 @@ the slower reference for the light-cone evaluation in `z_from_angles`.
 the loop forms of the array-at-a-time ROC sweep, CSV rendering and subset
 draw in the package: one tie group, one float and one row at a time, with
 Python integers and lists.
+
+`logaddexp_mish` and `logaddexp_mish_grad` form softplus with
+`np.logaddexp`, which numpy evaluates through scalar libm calls; the
+package's exp/log1p form runs numpy's vector loops and may differ from them
+by a few ulp.
 """
 
 from __future__ import annotations
@@ -232,6 +237,18 @@ def loop_stratified_subset(labels, count: int, seed: int):
         chosen = rng.permutation(n)[:count].tolist()
     chosen_set = set(chosen)
     return sorted(chosen_set), [i for i in range(n) if i not in chosen_set], stratified
+
+
+def logaddexp_mish(x: np.ndarray) -> np.ndarray:
+    """x * tanh(softplus(x)), softplus via logaddexp so large |x| is exact."""
+    return x * np.tanh(np.logaddexp(0.0, x))
+
+
+def logaddexp_mish_grad(x: np.ndarray) -> np.ndarray:
+    sp = np.logaddexp(0.0, x)
+    t = np.tanh(sp)
+    sig = np.exp(x - sp)  # sigmoid(x) without overflow, exp(x)/(1+exp(x))
+    return t + x * sig * (1.0 - t * t)
 
 
 def central_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

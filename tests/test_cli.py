@@ -377,12 +377,35 @@ class TestHarness:
         assert "--deterministic" in err and len(err.strip().splitlines()) == 1
 
 
+def load_script(name):
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestScripts:
+    def test_headline_table_is_the_readme_markdown(self):
+        facts = {"seed": 7, "models": {
+            "dnn": {"params": {"total_params": 34808}, "in_domain_accuracy": 0.985,
+                    "cross_domain_accuracy": 0.85766,
+                    "transfer": {"post_accuracy_mean": 0.97308, "post_accuracy_std": 0.00971,
+                                 "n_repeats": 5}},
+            "knn": {"params": {}, "in_domain_accuracy": 0.99, "cross_domain_accuracy": None},
+        }}
+        lines = load_script("reproduce_results").headline_table(facts)
+        assert lines == [
+            "| model | params | in-domain | cross-domain | few-shot transfer (5 repeats) |",
+            "|-------|--------|-----------|--------------|-------------------------------|",
+            "| dnn   | 34808  | 0.9850    | 0.8577       | 0.9731 +- 0.0097              |",
+            "| knn   | -      | 0.9900    | -            | -                             |",
+        ]
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        assert "\n".join(lines[:2]) in readme
+
     def test_calibrate_shift_smoke(self, capsys):
-        path = Path(__file__).parent.parent / "scripts" / "calibrate_shift.py"
-        spec = importlib.util.spec_from_file_location("calibrate_shift", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_script("calibrate_shift")
         code = script.main(["--n-source", "64", "--n-target", "64", "--dnn-epochs", "1",
                             "--qnn-epochs", "1", "--offset-grid", "0,10.5"])
         assert code == 0

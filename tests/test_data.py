@@ -2,6 +2,7 @@
 
 import hashlib
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -239,6 +240,29 @@ class TestCsv:
                         + "\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="^line 3: features must be finite$"):
             load_csv(path)
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS,
+                                   3 * CSV_BLOCK_ROWS + 1, 2601])
+    def test_round_trip_across_buffer_growth(self, n):
+        rng = np.random.default_rng(n)
+        ds = Dataset(rng.normal(size=(n, N_FEATURES)), rng.integers(0, N_CLASSES, n),
+                     np.where(rng.random(n) < 0.5, "source", "target"), rng.integers(0, 9, n))
+        back = load_csv_of(ds)
+        assert back.samples.shape == (n, N_FEATURES)
+        for name in ("samples", "labels", "domain", "session"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+
+    def test_features_are_not_held_twice(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        write_csv(generate_synthetic(800, 4000, ShiftSpec(seed=11)), path)
+        tracemalloc.start()
+        try:
+            back = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 4800
+        assert peak <= 1.5 * back.samples.nbytes, peak
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"

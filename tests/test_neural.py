@@ -1,17 +1,20 @@
 """Classical components: Mish, residual DNN, cross-entropy, AdamW."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import central_difference
+from oracles import central_difference, logaddexp_mish, logaddexp_mish_grad
 from qpose.data import FeatureNormalizer
 from qpose.neural import (
     AdamW,
     DnnConfig,
     DnnModel,
+    dnn_backward,
     dnn_forward,
     dnn_init,
     linear_init,
@@ -46,6 +49,39 @@ class TestMish:
     def test_gradient_matches_finite_differences(self, x):
         fd = central_difference(lambda v: float(mish(v)[0]), np.array([x]), step=1e-6)
         assert abs(mish_grad(np.array([x]))[0] - fd[0]) < 1e-5
+
+
+class TestMishOracle:
+    """Mish and Mish' with the exp/log1p softplus against their logaddexp forms."""
+
+    FIXED = np.array([0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 709.78, -709.78,
+                      745.0, -745.0, 1e4, -1e4])
+
+    @staticmethod
+    def check(x):
+        np.testing.assert_allclose(mish(x), logaddexp_mish(x), rtol=2e-15, atol=0)
+        assert (np.signbit(mish(x)) == np.signbit(logaddexp_mish(x))).all()
+        np.testing.assert_allclose(mish_grad(x), logaddexp_mish_grad(x), rtol=0, atol=4e-15)
+
+    @given(hnp.arrays(np.float64, st.integers(1, 70), elements=st.floats(-1e4, 1e4)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_logaddexp_form(self, x):
+        self.check(x)
+
+    def test_fixed_points(self):
+        self.check(self.FIXED)
+        for v in self.FIXED:  # one element at a time takes the loops' tail path
+            self.check(np.array([v]))
+
+    def test_dense_grid(self):
+        self.check(np.linspace(-1e4, 1e4, 200_001))
+        self.check(np.linspace(-40.0, 40.0, 200_001))
+
+    def test_nonfinite_inputs_give_what_logaddexp_gives(self):
+        x = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(mish(x), logaddexp_mish(x))
+            np.testing.assert_array_equal(mish_grad(x), logaddexp_mish_grad(x))
 
 
 class TestSoftmaxCrossEntropy:
@@ -98,15 +134,16 @@ class TestDnn:
         for k in params:
             params[k] = np.zeros_like(params[k])
         params["out.b"] = np.arange(8.0)
-        logits, _ = dnn_forward(params, np.zeros((2, 36)), DnnConfig())
+        logits = dnn_forward(params, np.zeros((2, 36)), DnnConfig())
         np.testing.assert_allclose(logits, np.tile(np.arange(8.0), (2, 1)), atol=1e-15)
 
     def test_residual_blocks_preserve_width(self):
         cfg = DnnConfig()
         params = dnn_init(cfg, seed=2)
-        _, cache = dnn_forward(params, np.random.default_rng(0).normal(size=(4, 36)), cfg)
+        cache = {}
+        dnn_forward(params, np.random.default_rng(0).normal(size=(4, 36)), cfg, cache)
         for i in range(cfg.n_blocks):
-            assert cache[f"h{i}"].shape == (4, 100)
+            assert cache[f"res{i}"][0].shape == (4, 100)
         assert cache["h_out"].shape == (4, 100)
 
     def test_nonfinite_input_rejected(self):
@@ -137,6 +174,45 @@ class TestDnn:
                 fd = central_difference(loss_at, np.array([flat[j]]), step=1e-5)[0]
                 rel = abs(grads[name].ravel()[j] - fd) / max(abs(fd), 1e-6)
                 assert rel < 1e-5, f"{name}[{j}]: rel={rel}"
+
+    def test_cached_parts_backward_equals_recomputed_mish_grad(self):
+        cfg = DnnConfig()
+        params = dnn_init(cfg, seed=12)
+        rng = np.random.default_rng(13)
+        x = rng.normal(0.0, 20.0, size=(203, 36))  # wide pre-activations, odd batch
+        labels = rng.integers(0, 8, 203)
+        cache = {}
+        _, grad_logits = softmax_cross_entropy(dnn_forward(params, x, cfg, cache), labels)
+        grads = dnn_backward(params, cache, grad_logits, cfg)
+        gh = grad_logits @ params["out.w"].T
+        for name in ["res2", "res1", "res0", "in"]:
+            h, z = cache[name][:2]
+            gz = gh * mish_grad(z)
+            assert grads[f"{name}.w"].tobytes() == (h.T @ gz).tobytes(), name
+            assert grads[f"{name}.b"].tobytes() == gz.sum(axis=0).tobytes(), name
+            if name != "in":
+                gh = gh + gz @ params[f"{name}.w"].T
+
+    def test_scoring_forward_equals_training_forward(self):
+        cfg = DnnConfig()
+        params = dnn_init(cfg, seed=14)
+        x = np.random.default_rng(15).normal(0.0, 20.0, size=(1001, 36))
+        scored = dnn_forward(params, x, cfg)
+        trained = dnn_forward(params, x, cfg, {})
+        assert scored.tobytes() == trained.tobytes()
+
+    def test_scoring_keeps_no_per_layer_cache(self):
+        m = DnnModel.create(FeatureNormalizer.identity(), seed=16)
+        x = np.random.default_rng(17).normal(size=(4000, 36))
+        m.predict_proba(x[:10])
+        tracemalloc.start()
+        try:
+            m.predict_proba(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most six 4000 x 100 float64 arrays alive at once
+        assert peak <= 6 * 4000 * 100 * 8, peak
 
     def test_predict_proba_rows_sum_to_one(self):
         m = DnnModel.create(FeatureNormalizer.identity(), seed=5)
