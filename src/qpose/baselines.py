@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNormalizer,
-                   checkpoint_arrays, features_matrix)
+                   check_int_fields, checkpoint_arrays, features_matrix)
 
 # Query rows per distance block: bounds the (rows, references, features)
 # difference temporary instead of letting it grow with the query count.
@@ -50,6 +50,7 @@ class KnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "KnnModel":
+        check_int_fields(config, ("k",))
         arrays = checkpoint_arrays("params", params,
                                    {"features": (None, N_FEATURES), "labels": (None,)})
         labels = arrays["labels"]
@@ -128,7 +129,10 @@ class GnbModel:
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "GnbModel":
         shapes = {"priors": (N_CLASSES,), "means": (N_CLASSES, N_FEATURES),
                   "variances": (N_CLASSES, N_FEATURES)}
-        return cls(**checkpoint_arrays("params", params, shapes), normalizer=normalizer)
+        arrays = checkpoint_arrays("params", params, shapes)
+        if (arrays["priors"] <= 0).any():
+            raise CheckpointError("checkpoint field params.priors must be positive")
+        return cls(**arrays, normalizer=normalizer)
 
     def checkpoint_sections(self) -> tuple[dict, dict]:
         params = {"priors": self.priors, "means": self.means, "variances": self.variances}

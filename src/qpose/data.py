@@ -174,6 +174,18 @@ def checkpoint_arrays(section: str, doc, shapes: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
+def check_int_fields(config, names) -> None:
+    """Reject a present ``config.<name>`` that is not an integer. JSON
+    floats (2.0 included) and booleans are refused here, before they reach
+    a ``range`` or an array shape; absent fields are left to the model."""
+    for name in names:
+        if isinstance(config, dict) and name in config:
+            value = config[name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CheckpointError(f"checkpoint field config.{name} must be an integer,"
+                                      f" got {value!r}")
+
+
 def _check_scale(name: str, value: float) -> None:
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")

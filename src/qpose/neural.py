@@ -18,11 +18,12 @@ fine-tuning keeps feature layers fixed while the middle trains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import N_CLASSES, N_FEATURES, FeatureNormalizer, checkpoint_arrays
+from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, check_int_fields,
+                   checkpoint_arrays)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -194,7 +195,13 @@ class DnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DnnModel":
+        check_int_fields(config, [f.name for f in fields(DnnConfig)])
         config = DnnConfig(**config)
+        # n_blocks residual blocks take 2 * n_blocks names; check that before
+        # param_shapes() builds them, so a huge n_blocks fails at once
+        if isinstance(params, dict) and 2 * config.n_blocks > len(params):
+            raise CheckpointError(f"checkpoint field config.n_blocks is {config.n_blocks},"
+                                  f" but params holds only {len(params)} names")
         return cls(config=config, params=checkpoint_arrays("params", params, config.param_shapes()),
                    normalizer=normalizer)
 

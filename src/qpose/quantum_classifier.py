@@ -31,10 +31,11 @@ group's readout at its base value. Every logical circuit is still counted
 once; the sweep only skips work whose result is known.
 
 Implementation note: RY and CZ have real matrices and the start state
-|0...0> is real, so every statevector this module touches is real. The
+|0...0> is real, so every statevector is real. The `statevector` row
 kernels run on float64 buffers, batching many circuits (and many samples)
-as rows of one array; results match the complex-valued reference
-simulator in `statevector`.
+as rows of one array. The acceptance tests check the base circuit and
+every +-pi/2 shift against a dense Kronecker-product simulation of the
+whole register.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import FeatureNormalizer, N_CLASSES, N_FEATURES, checkpoint_arrays
+from .data import FeatureNormalizer, N_CLASSES, N_FEATURES, check_int_fields, checkpoint_arrays
 from .neural import linear_init, n_params, softmax, softmax_cross_entropy
 from .statevector import (
     GateKind,
@@ -236,7 +237,7 @@ def _cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -> np
     for lo in range(0, rows, per_chunk):
         chunk = angles[lo : lo + per_chunk]
         s = chunk.shape[0]
-        amps = zero_states(width, batch=blocks * s, dtype=np.float64)
+        amps = zero_states(width, batch=blocks * s)
         live = s
         for g, op in enumerate(ops):
             if op.kind is GateKind.CZ:
@@ -291,6 +292,7 @@ class DressedQnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DressedQnnModel":
+        check_int_fields(config, ("n_qubits", "n_layers"))
         ansatz = StdAnsatz(n_qubits=config["n_qubits"], n_layers=config["n_layers"])
         n = ansatz.n_qubits
         shapes = {"in.w": (N_FEATURES, n), "in.b": (n,), "theta": (ansatz.n_theta,),

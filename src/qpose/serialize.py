@@ -9,9 +9,9 @@ One JSON schema covers every model kind:
 A kind is registered in `KINDS` (kind -> model class). This module owns the
 envelope; each class writes its `config` and `params` sections in
 `checkpoint_sections()` and restores itself in `from_checkpoint`. Loading
-validates: parameter names and shapes against the config, finite values, a
-(36,) normalizer with std > 0, kNN labels in 0..7; a violation raises
-`CheckpointError` naming the field.
+validates: integer config fields, parameter names and shapes against the
+config, finite values, a (36,) normalizer with std > 0, kNN labels in 0..7,
+positive GNB priors; a violation raises `CheckpointError` naming the field.
 
 JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records

@@ -1,4 +1,4 @@
-"""Dense statevector simulation of RY/CZ circuits.
+"""Gate description and row kernels for the classifier's RY/CZ circuits.
 
 Conventions
 -----------
@@ -8,12 +8,13 @@ to qubit 0. The gate set is exactly what the classifier needs: parameterized
 Pauli-Y rotations, controlled-Z entanglers, and exact (noise-free) Pauli-Z
 expectation readout per qubit.
 
-Gates act in place on the amplitude buffer with stride-based pair indexing,
-O(2^n) work per gate; a 2^n x 2^n matrix is never materialized. RY and CZ
-both have real matrix elements, so circuits starting from |0...0> keep
-purely real amplitudes; the row kernels (`ry_rows`, `cz_rows`,
-`z_expectations_rows`) therefore accept a float64 buffer of stacked states
-as well. `QuantumState` itself always stores complex128.
+RY and CZ have real matrix elements, so circuits starting from |0...0> keep
+purely real amplitudes, and every buffer here is float64. The row kernels
+(`zero_states`, `ry_rows`, `cz_rows`, `z_expectations_rows`) act in place
+on a (batch, 2^n) buffer of stacked states with stride-based pair
+indexing, O(2^n) work per gate and row; a 2^n x 2^n matrix is never
+materialized. `quantum_classifier.z_from_angles` is the one circuit runner
+built on them.
 """
 
 from __future__ import annotations
@@ -70,37 +71,6 @@ def cz(control: int, target: int) -> GateOp:
     return GateOp(GateKind.CZ, target, control=control)
 
 
-@dataclass(eq=False)
-class QuantumState:
-    """Dense complex amplitude vector over the 2^n computational basis."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({1 << self.n_qubits},)"
-            )
-        self.amplitudes = amps
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "QuantumState":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        a = self.amplitudes
-        return a.real * a.real + a.imag * a.imag
-
-
 def _check_qubit(qubit: int, n_qubits: int) -> None:
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
@@ -111,9 +81,9 @@ def _check_qubit(qubit: int, n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def zero_states(n_qubits: int, batch: int = 1, dtype=np.complex128) -> np.ndarray:
-    """Stack of ``batch`` copies of |0...0> as a (batch, 2^n) buffer."""
-    amps = np.zeros((batch, 1 << n_qubits), dtype=dtype)
+def zero_states(n_qubits: int, batch: int = 1) -> np.ndarray:
+    """Stack of ``batch`` copies of |0...0> as a float64 (batch, 2^n) buffer."""
+    amps = np.zeros((batch, 1 << n_qubits))
     amps[:, 0] = 1.0
     return amps
 
@@ -164,40 +134,4 @@ def z_signs(n_qubits: int) -> np.ndarray:
 def z_expectations_rows(amps: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> for every row of a (batch, 2^n) buffer, as (batch, n)."""
     dim = amps.shape[1]
-    n = dim.bit_length() - 1
-    if np.iscomplexobj(amps):
-        probs = amps.real * amps.real + amps.imag * amps.imag
-    else:
-        probs = amps * amps
-    return probs @ z_signs(n)
-
-
-# ---------------------------------------------------------------------------
-# Whole circuits.
-# ---------------------------------------------------------------------------
-
-
-def run_circuit(n_qubits: int, ops, params) -> QuantumState:
-    """Apply ``ops`` in order to |0...0>, binding RY angles from ``params``.
-
-    Raises ValueError for an angle_slot with no matching parameter, before
-    any gate is applied.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    ops = list(ops)
-    for op in ops:
-        if op.kind is GateKind.RY and op.angle_slot >= params.shape[0]:
-            raise ValueError(
-                f"angle_slot {op.angle_slot} is not bound by a "
-                f"{params.shape[0]}-element parameter vector"
-            )
-    amps = zero_states(n_qubits, batch=1)
-    for op in ops:
-        if op.kind is GateKind.RY:
-            _check_qubit(op.target, n_qubits)
-            ry_rows(amps, op.target, params[op.angle_slot])
-        else:
-            _check_qubit(op.target, n_qubits)
-            _check_qubit(op.control, n_qubits)
-            cz_rows(amps, op.control, op.target)
-    return QuantumState(n_qubits, amps[0])
+    return (amps * amps) @ z_signs(dim.bit_length() - 1)

@@ -1,16 +1,20 @@
 """Independent reference implementations used to verify the package.
 
 Everything here deliberately avoids the production code paths: circuits are
-simulated by materializing the full 2^n x 2^n matrix from Kronecker
-products, AUC is computed by brute-force pairwise comparison in exact
-rational arithmetic, gradients come from central finite differences, and
-Gaussian naive Bayes posteriors from direct density products at 50-digit
-precision.
+simulated with 2^n x 2^n gate matrices built from Kronecker products, AUC
+is computed by brute-force pairwise comparison in exact rational
+arithmetic, gradients come from central finite differences, and Gaussian
+naive Bayes posteriors from direct density products at 50-digit precision.
+`dense_shift_sweep` is the Kronecker reference for the package's circuit
+runner, `z_from_angles`: the dressed circuit and every +-pi/2 shift of it
+on the whole register.
 
-The exceptions are the single-state helpers (`apply_ry`, `apply_cz`,
-`expectation_z`) and `full_width_sweep`: they run the statevector row
-kernels, which the tests check against the Kronecker oracle, and serve as
-the slower reference for the light-cone evaluation in `z_from_angles`.
+The exceptions drive the production row kernels (`ry_rows`, `cz_rows`,
+`z_expectations_rows`): `run_circuit` (one kernel call per gate) and the
+single-state helpers `apply_ry`, `apply_cz` and `expectation_z`, which the
+tests check against the Kronecker oracle, and `full_width_sweep`, the
+all-qubit staircase that the light cones of `z_from_angles` must match to
+1e-12.
 
 `loop_binary_roc`, `csv_text_by_value` and `loop_stratified_subset` are
 the loop forms of the array-at-a-time ROC sweep, CSV rendering and subset
@@ -34,11 +38,9 @@ from qpose.data import CSV_HEADER, N_CLASSES, apportion
 from qpose.statevector import (
     GateKind,
     GateOp,
-    QuantumState,
     cz_rows,
     ry_rows,
     z_expectations_rows,
-    z_signs,
     zero_states,
 )
 
@@ -94,25 +96,64 @@ def z_expectation_dense(state: np.ndarray, qubit: int) -> float:
     return float(np.real(np.conj(state) @ z_matrix(n_qubits, qubit) @ state))
 
 
-def apply_ry(state: QuantumState, qubit: int, theta: float) -> QuantumState:
+def dense_shift_sweep(ansatz, angles) -> np.ndarray:
+    """<Z> of the dressed circuit and of every circuit with one angle slot
+    shifted by +-pi/2, from Kronecker-embedded gate matrices.
+
+    All 1 + 2K circuits (K = ``ansatz.n_slots``) run as the columns of one
+    (2^n, 1 + 2K) block of states, each gate one matrix product. Column 0
+    is the base circuit and columns 1 + 2j and 2 + 2j are the shifts of
+    slot j by +pi/2 and -pi/2. Returns (1 + 2K, n)."""
+    n = ansatz.n_qubits
+    angles = np.asarray(angles, dtype=np.float64)
+    block = np.zeros((1 << n, 1 + 2 * ansatz.n_slots), dtype=np.complex128)
+    block[0] = 1.0
+    for op in ansatz.dressed_ops():
+        if op.kind is GateKind.CZ:
+            block = cz_matrix(n, op.control, op.target) @ block
+            continue
+        j, theta = op.angle_slot, angles[op.angle_slot]
+        out = single_qubit_embed(n, op.target, ry_matrix(theta)) @ block
+        for col, shift in ((1 + 2 * j, np.pi / 2), (2 + 2 * j, -np.pi / 2)):
+            gate = single_qubit_embed(n, op.target, ry_matrix(theta + shift))
+            out[:, col] = gate @ block[:, col]
+        block = out
+    return np.stack([np.real(np.sum(np.conj(block) * (z_matrix(n, q) @ block), axis=0))
+                     for q in range(n)], axis=1)
+
+
+def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
+    """Amplitudes after ``ops`` on |0...0>, one production row kernel call
+    per gate, with RY angles bound from ``params``."""
+    amps = zero_states(n_qubits)
+    for op in ops:
+        if op.kind is GateKind.RY:
+            ry_rows(amps, op.target, float(params[op.angle_slot]))
+        else:
+            cz_rows(amps, op.control, op.target)
+    return amps[0]
+
+
+def apply_ry(amps: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """RY rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]] on one qubit."""
-    out = state.amplitudes.copy().reshape(1, -1)
+    out = np.array(amps, dtype=np.float64).reshape(1, -1)
     ry_rows(out, qubit, float(theta))
-    return QuantumState(state.n_qubits, out[0])
+    return out[0]
 
 
-def apply_cz(state: QuantumState, a: int, b: int) -> QuantumState:
+def apply_cz(amps: np.ndarray, a: int, b: int) -> np.ndarray:
     """Negate amplitudes of basis states where qubits a and b are both 1."""
-    out = state.amplitudes.copy().reshape(1, -1)
+    out = np.array(amps, dtype=np.float64).reshape(1, -1)
     cz_rows(out, a, b)
-    return QuantumState(state.n_qubits, out[0])
+    return out[0]
 
 
-def expectation_z(state: QuantumState, qubit: int) -> float:
-    """Exact <Z_qubit>: sum over basis states of |amp|^2 * (+1 or -1)."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    return float(state.probabilities() @ z_signs(state.n_qubits)[:, qubit])
+def expectation_z(amps: np.ndarray, qubit: int) -> float:
+    """Exact <Z_qubit>: sum over basis states of amp^2 * (+1 or -1)."""
+    n_qubits = amps.size.bit_length() - 1
+    if not 0 <= qubit < n_qubits:
+        raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
+    return float(z_expectations_rows(amps.reshape(1, -1))[0, qubit])
 
 
 def full_width_sweep(ansatz, angles, slots=()):
@@ -134,7 +175,7 @@ def full_width_sweep(ansatz, angles, slots=()):
     for lo in range(0, rows, per_chunk):
         chunk = angles[lo : lo + per_chunk]
         s = chunk.shape[0]
-        amps = zero_states(n, batch=blocks * s, dtype=np.float64)
+        amps = zero_states(n, batch=blocks * s)
         live = s
         for g, op in enumerate(ops):
             if op.kind is GateKind.CZ:

@@ -13,12 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_difference, pairwise_auc, random_circuit, simulate_dense
+from oracles import (
+    central_difference,
+    dense_shift_sweep,
+    pairwise_auc,
+    random_circuit,
+    run_circuit,
+    simulate_dense,
+)
 from qpose.data import FeatureNormalizer
 from qpose.evaluation import binary_roc
 from qpose.neural import DnnConfig, dnn_init, n_params, softmax_cross_entropy
 from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, z_from_angles
-from qpose.statevector import GateKind, run_circuit
+from qpose.statevector import GateKind
 
 RUNTIME_BUDGET_S = 15 * 60
 
@@ -73,11 +80,27 @@ def test_simulator_matches_dense_oracle(capsys):
         ops, angles = random_circuit(rng, n, int(rng.integers(1, 21)))
         got = run_circuit(n, ops, angles)
         want = simulate_dense(n, ops, angles)
-        worst_amp = max(worst_amp, float(np.abs(got.amplitudes - want).max()))
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(got.amplitudes)) - 1.0))
+        worst_amp = max(worst_amp, float(np.abs(got - want).max()))
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(got)) - 1.0))
     ok = worst_amp < 1e-10 and worst_norm < 1e-10
     report(capsys, "simulator vs dense Kronecker oracle, 100 circuits",
            ok, f"amp err {worst_amp:.2e}, norm drift {worst_norm:.2e}")
+
+
+def test_light_cone_sweep_matches_dense_oracle(capsys):
+    # n <= 4 (any L) and n <= 8 at L >= 2 run one full-width group; n >= 5
+    # at L = 1 and n = 9 at L = 2 split the register into light cones
+    rng = np.random.default_rng(2025)
+    sizes = [(n, layers) for n in range(2, 10) for layers in (1, 2, 3)] + [(10, 1)]
+    worst = 0.0
+    for n, layers in sizes:
+        ansatz = StdAnsatz(n, layers)
+        angles = rng.uniform(-np.pi, np.pi, ansatz.n_slots)
+        z, z_plus, z_minus = z_from_angles(ansatz, angles, slots=range(ansatz.n_slots))
+        got = np.concatenate([z, np.stack([z_plus[0], z_minus[0]], axis=1).reshape(-1, n)])
+        worst = max(worst, float(np.abs(got - dense_shift_sweep(ansatz, angles)).max()))
+    report(capsys, "light-cone sweep vs dense Kronecker oracle, every +-pi/2 shift",
+           worst < 1e-10, f"n=2..9 at L=1..3 and n=10 at L=1, max err {worst:.2e}")
 
 
 def test_parameter_shift_matches_finite_differences(capsys):

@@ -12,6 +12,11 @@ import numpy as np
 import pytest
 
 from qpose import cli
+from qpose.baselines import GnbModel, KnnModel
+from qpose.data import FeatureNormalizer
+from qpose.neural import DnnConfig, DnnModel
+from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
+from qpose.serialize import checkpoint_dict
 
 
 def run_cli(argv, out_dir):
@@ -238,6 +243,34 @@ class TestEval:
         doc = json.loads(proc.stderr.strip().splitlines()[-1])
         assert doc["error"]
         assert "message" in doc
+
+
+    @pytest.mark.parametrize("kind, section, field, value", [
+        ("knn", "config", "k", 2.5),
+        ("qnn", "config", "n_qubits", 3.0),
+        ("dnn", "config", "n_blocks", 2.0),
+        ("gnb", "params", "priors", [0.65, -0.325, 0.125, 0.11, 0.11, 0.11, 0.11, 0.11]),
+    ])
+    def test_malformed_checkpoint_error_document(self, dataset, tmp_path, capsys,
+                                                 kind, section, field, value):
+        norm = FeatureNormalizer.identity()
+        model = {
+            "knn": lambda: KnnModel(np.zeros((4, 36)), np.arange(4), 3, norm),
+            "qnn": lambda: DressedQnnModel.create(norm, StdAnsatz(3, 1)),
+            "dnn": lambda: DnnModel.create(norm, config=DnnConfig(hidden=9, n_blocks=2)),
+            "gnb": lambda: GnbModel(np.full(8, 0.125), np.zeros((8, 36)), np.ones((8, 36)),
+                                    norm),
+        }[kind]()
+        doc = checkpoint_dict(model)
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(["eval", "--data", str(dataset), "--checkpoint", str(path)],
+                       tmp_path / "e")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert f"{section}.{field}" in err["message"]
 
 
 class TestTransfer:

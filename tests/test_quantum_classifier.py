@@ -12,6 +12,7 @@ from oracles import (
     central_difference,
     expectation_z,
     full_width_sweep,
+    run_circuit,
     simulate_dense,
     z_expectation_dense,
 )
@@ -26,7 +27,7 @@ from qpose.quantum_classifier import (
     reset_evaluation_count,
     z_from_angles,
 )
-from qpose.statevector import GateKind, QuantumState, run_circuit
+from qpose.statevector import GateKind, zero_states
 
 
 def small_model(n_qubits=4, n_layers=1, seed=0):
@@ -149,8 +150,8 @@ class TestParamShift:
     def test_single_ry_gradient_is_minus_sin(self):
         # d<Z>/dtheta of RY(theta)|0> via two shifted evaluations
         for theta in (0.0, np.pi / 4, 1.0):
-            up = expectation_z(apply_ry(QuantumState.zero(1), 0, theta + np.pi / 2), 0)
-            dn = expectation_z(apply_ry(QuantumState.zero(1), 0, theta - np.pi / 2), 0)
+            up = expectation_z(apply_ry(zero_states(1)[0], 0, theta + np.pi / 2), 0)
+            dn = expectation_z(apply_ry(zero_states(1)[0], 0, theta - np.pi / 2), 0)
             assert abs((up - dn) / 2 - (-np.sin(theta))) < 1e-12
 
     def test_matches_finite_differences_per_coordinate(self):

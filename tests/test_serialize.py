@@ -190,6 +190,35 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="knn"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("knn", "k", 2.5), ("knn", "k", 3.0), ("knn", "k", True),
+        ("qnn", "n_qubits", 3.0), ("qnn", "n_layers", 1.0), ("qnn", "n_layers", True),
+        ("dnn", "n_features", 36.0), ("dnn", "n_classes", 8.0), ("dnn", "hidden", 9.0),
+        ("dnn", "n_blocks", 2.0), ("dnn", "hidden", "9"),
+    ])
+    def test_non_integer_config_rejected(self, kind, field, value, tmp_path):
+        doc = checkpoint_dict(fitted_models()[kind])
+        doc["config"][field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=rf"config\.{field} must be an integer"):
+            load_checkpoint(path)
+
+    def test_huge_n_blocks_rejected_before_building_shapes(self):
+        doc = self.good_doc()
+        doc["config"]["n_blocks"] = 10**9
+        with pytest.raises(CheckpointError, match=r"config\.n_blocks"):
+            model_from_dict(doc)
+
+    def test_gnb_negative_prior_rejected(self, tmp_path):
+        doc = checkpoint_dict(fitted_models()["gnb"])
+        # sums to 1, so only the sign check can catch it
+        doc["params"]["priors"] = [0.65, -0.325, 0.125, 0.11, 0.11, 0.11, 0.11, 0.11]
+        path = tmp_path / "gnb.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=r"params\.priors must be positive"):
+            load_checkpoint(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

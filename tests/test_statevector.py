@@ -1,4 +1,5 @@
-"""Simulator kernels against the dense Kronecker-product oracle."""
+"""Row kernels against the dense Kronecker-product oracle, through the
+single-state helpers and the gate loop in `oracles`."""
 
 import numpy as np
 import pytest
@@ -10,28 +11,22 @@ from oracles import (
     apply_ry,
     expectation_z,
     random_circuit,
+    run_circuit,
     simulate_dense,
     z_expectation_dense,
 )
-from qpose.statevector import (
-    GateKind,
-    GateOp,
-    QuantumState,
-    cz,
-    cz_rows,
-    run_circuit,
-    ry,
-    ry_rows,
-    z_expectations_rows,
-    zero_states,
-)
+from qpose.statevector import GateKind, GateOp, cz, cz_rows, ry, ry_rows, zero_states
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
 
 def random_state(rng, n_qubits):
-    v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return QuantumState(n_qubits, v / np.linalg.norm(v))
+    v = rng.normal(size=1 << n_qubits)
+    return v / np.linalg.norm(v)
+
+
+def zero(n_qubits):
+    return zero_states(n_qubits)[0]
 
 
 class TestGateOpValidation:
@@ -62,20 +57,20 @@ class TestGateOpValidation:
 
 class TestApplyRy:
     def test_identity_rotation(self):
-        s = apply_ry(QuantumState.zero(1), 0, 0.0)
-        np.testing.assert_allclose(s.amplitudes, [1.0, 0.0], atol=1e-15)
+        s = apply_ry(zero(1), 0, 0.0)
+        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-15)
 
     def test_half_turn_flips(self):
-        s = apply_ry(QuantumState.zero(1), 0, np.pi)
-        np.testing.assert_allclose(s.amplitudes, [0.0, 1.0], atol=1e-12)
+        s = apply_ry(zero(1), 0, np.pi)
+        np.testing.assert_allclose(s, [0.0, 1.0], atol=1e-12)
 
     def test_quarter_turn_equal_superposition(self):
-        s = apply_ry(QuantumState.zero(1), 0, np.pi / 2)
-        np.testing.assert_allclose(s.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+        s = apply_ry(zero(1), 0, np.pi / 2)
+        np.testing.assert_allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_out_of_range_qubit(self):
         with pytest.raises(IndexError):
-            apply_ry(QuantumState.zero(2), 2, 0.3)
+            apply_ry(zero(2), 2, 0.3)
 
     @given(a=angles, b=angles)
     def test_composition_adds_angles(self, a, b):
@@ -83,29 +78,29 @@ class TestApplyRy:
         s = random_state(rng, 2)
         two = apply_ry(apply_ry(s, 1, a), 1, b)
         one = apply_ry(s, 1, a + b)
-        np.testing.assert_allclose(two.amplitudes, one.amplitudes, atol=1e-10)
+        np.testing.assert_allclose(two, one, atol=1e-10)
 
     @given(theta=angles, q=st.integers(0, 2))
     def test_norm_preserved(self, theta, q):
         rng = np.random.default_rng(9)
         s = apply_ry(random_state(rng, 3), q, theta)
-        assert abs(s.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-10
 
 
 class TestApplyCz:
     def test_defining_action_on_11(self):
-        s = QuantumState(2, np.array([0, 0, 0, 1.0]))
-        np.testing.assert_allclose(apply_cz(s, 0, 1).amplitudes, [0, 0, 0, -1.0])
+        s = np.array([0, 0, 0, 1.0])
+        np.testing.assert_allclose(apply_cz(s, 0, 1), [0, 0, 0, -1.0])
 
     def test_no_action_on_01(self):
-        s = QuantumState(2, np.array([0, 1.0, 0, 0]))
-        np.testing.assert_allclose(apply_cz(s, 0, 1).amplitudes, [0, 1.0, 0, 0])
+        s = np.array([0, 1.0, 0, 0])
+        np.testing.assert_allclose(apply_cz(s, 0, 1), [0, 1.0, 0, 0])
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
         s = random_state(rng, 3)
         np.testing.assert_array_equal(
-            apply_cz(s, 0, 2).amplitudes, apply_cz(s, 2, 0).amplitudes
+            apply_cz(s, 0, 2), apply_cz(s, 2, 0)
         )
 
     @given(st.integers(0, 200))
@@ -113,27 +108,27 @@ class TestApplyCz:
         rng = np.random.default_rng(seed)
         s = random_state(rng, 2)
         twice = apply_cz(apply_cz(s, 0, 1), 0, 1)
-        np.testing.assert_allclose(twice.amplitudes, s.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(twice, s, atol=1e-12)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(IndexError):
-            apply_cz(QuantumState.zero(2), 1, 1)
+            apply_cz(zero(2), 1, 1)
 
 
 class TestExpectationZ:
     def test_zero_state(self):
-        assert expectation_z(QuantumState.zero(1), 0) == 1.0
+        assert expectation_z(zero(1), 0) == 1.0
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.7])
     def test_cos_theta_after_ry(self, theta):
-        s = apply_ry(QuantumState.zero(1), 0, theta)
+        s = apply_ry(zero(1), 0, theta)
         assert abs(expectation_z(s, 0) - np.cos(theta)) < 1e-12
 
     def test_qubit_convention_each_position(self):
         # flipping qubit q and measuring q must give -1 for every q
         for n in (1, 2, 3, 4):
             for q in range(n):
-                s = apply_ry(QuantumState.zero(n), q, np.pi)
+                s = apply_ry(zero(n), q, np.pi)
                 assert abs(expectation_z(s, q) - (-1.0)) < 1e-10
 
     def test_matches_dense_oracle_random_3q(self):
@@ -149,16 +144,12 @@ class TestExpectationZ:
 class TestRunCircuit:
     def test_empty_circuit(self):
         s = run_circuit(1, [], [])
-        np.testing.assert_array_equal(s.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(s, [1.0, 0.0])
 
     def test_little_endian_indexing(self):
         # half-turn on qubit 0 of two qubits lands on basis index 1
         s = run_circuit(2, [ry(0, 0)], [np.pi])
-        np.testing.assert_allclose(s.amplitudes, [0, 1.0, 0, 0], atol=1e-12)
-
-    def test_dangling_slot_rejected(self):
-        with pytest.raises(ValueError, match="not bound"):
-            run_circuit(1, [ry(0, 3)], [0.1])
+        np.testing.assert_allclose(s, [0, 1.0, 0, 0], atol=1e-12)
 
     def test_hundred_random_circuits_match_dense_oracle(self):
         rng = np.random.default_rng(123)
@@ -167,8 +158,8 @@ class TestRunCircuit:
             ops, params = random_circuit(rng, n, int(rng.integers(1, 21)))
             state = run_circuit(n, ops, params)
             dense = simulate_dense(n, ops, params)
-            np.testing.assert_allclose(state.amplitudes, dense, atol=1e-10)
-            assert abs(state.norm() - 1.0) < 1e-10
+            np.testing.assert_allclose(state, dense, atol=1e-10)
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -177,51 +168,25 @@ class TestRunCircuit:
         n = int(rng.integers(2, 5))
         ops, params = random_circuit(rng, n, int(rng.integers(1, 16)))
         state = run_circuit(n, ops, params)
-        np.testing.assert_allclose(state.amplitudes, simulate_dense(n, ops, params), atol=1e-10)
+        np.testing.assert_allclose(state, simulate_dense(n, ops, params), atol=1e-10)
 
 
 class TestBatchedRowKernels:
     def test_ry_rows_matches_single(self):
         rng = np.random.default_rng(31)
         thetas = rng.uniform(-np.pi, np.pi, 5)
-        amps = zero_states(3, batch=5, dtype=np.complex128)
+        amps = zero_states(3, batch=5)
         ry_rows(amps, 1, thetas)
         for i, theta in enumerate(thetas):
-            expected = apply_ry(QuantumState.zero(3), 1, theta)
-            np.testing.assert_allclose(amps[i], expected.amplitudes, atol=1e-12)
+            expected = apply_ry(zero(3), 1, theta)
+            np.testing.assert_allclose(amps[i], expected, atol=1e-12)
 
     def test_cz_rows_matches_single(self):
         rng = np.random.default_rng(32)
-        amps = (rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8)))
+        amps = rng.normal(size=(4, 8))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         rows = amps.copy()
         cz_rows(rows, 0, 2)
         for i in range(4):
-            expected = apply_cz(QuantumState(3, amps[i]), 0, 2)
-            np.testing.assert_allclose(rows[i], expected.amplitudes, atol=1e-12)
-
-    def test_real_dtype_agrees_with_complex(self):
-        # RY/CZ are real matrices, so the float64 fast path must agree
-        rng = np.random.default_rng(33)
-        thetas = rng.uniform(-np.pi, np.pi, 6)
-        real = zero_states(2, batch=6, dtype=np.float64)
-        cplx = zero_states(2, batch=6, dtype=np.complex128)
-        for buf in (real, cplx):
-            ry_rows(buf, 0, thetas)
-            cz_rows(buf, 0, 1)
-            ry_rows(buf, 1, thetas * 0.5)
-        np.testing.assert_allclose(real, cplx.real, atol=1e-14)
-        np.testing.assert_allclose(
-            z_expectations_rows(real), z_expectations_rows(cplx), atol=1e-14
-        )
-
-
-class TestQuantumStateValidation:
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            QuantumState(2, np.array([1.0, 0.0]))
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(8)
-        s = random_state(rng, 3)
-        assert abs(s.probabilities().sum() - 1.0) < 1e-12
+            expected = apply_cz(amps[i], 0, 2)
+            np.testing.assert_allclose(rows[i], expected, atol=1e-12)
