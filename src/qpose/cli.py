@@ -180,13 +180,13 @@ def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
                      layers=args.layers, k=k, eval_samples=eval_samples)
 
 
-def _write_metadata(args, out_dir: Path, dataset, metrics: dict) -> None:
+def _write_metadata(args, out_dir: Path, metrics: dict) -> None:
     from .data import dataset_sha256
     from .serialize import write_run_metadata
 
     write_run_metadata(out_dir / "metadata.json", command=args.command,
                        config={k: v for k, v in vars(args).items() if k != "func"},
-                       seed=args.seed, dataset_hash=dataset_sha256(dataset),
+                       seed=args.seed, dataset_hash=dataset_sha256(args.data),
                        deterministic=args.deterministic, metrics=metrics)
 
 
@@ -196,7 +196,7 @@ def _write_metadata(args, out_dir: Path, dataset, metrics: dict) -> None:
 
 
 def cmd_gen(args) -> int:
-    from .data import Domain, generate_synthetic, write_csv
+    from .data import Domain, dataset_sha256, generate_synthetic, write_csv
     from .serialize import write_run_metadata
 
     out_dir = _out_dir(args)
@@ -204,7 +204,7 @@ def cmd_gen(args) -> int:
     dataset = generate_synthetic(args.n_source, args.n_target, shift)
     out = Path(args.out) if args.out else out_dir / "dataset.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset_hash = write_csv(dataset, out)
+    write_csv(dataset, out)
 
     src = dataset.class_counts(Domain.SOURCE)
     tgt = dataset.class_counts(Domain.TARGET)
@@ -225,7 +225,7 @@ def cmd_gen(args) -> int:
             "out": str(out),
         },
         seed=args.seed,
-        dataset_hash=dataset_hash,
+        dataset_hash=dataset_sha256(out),
         deterministic=args.deterministic,
         metrics={"n_source": int(src.sum()), "n_target": int(tgt.sum())},
     )
@@ -263,7 +263,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(model, out_dir / "checkpoint.json")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_metadata(args, out_dir, dataset, metrics={
+    _write_metadata(args, out_dir, metrics={
         "in_domain_accuracy": summary.get("in_domain", {}).get("accuracy"),
         "cross_domain_accuracy": summary.get("cross_domain", {}).get("accuracy"),
     })
@@ -305,7 +305,7 @@ def cmd_transfer(args) -> int:
     (out_dir / "transfer_summary.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )
-    _write_metadata(args, out_dir, dataset, metrics={
+    _write_metadata(args, out_dir, metrics={
         k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")
     })
     print(f"transfer {model.kind}: pre={doc['pre_accuracy_mean']:.4f}"
@@ -330,7 +330,7 @@ def cmd_eval(args) -> int:
     write_summary_json(report, out_dir / "eval_summary.json")
     write_confusion_csv(report, out_dir / "confusion.csv")
     write_roc_csvs(report, out_dir)
-    _write_metadata(args, out_dir, dataset, metrics={
+    _write_metadata(args, out_dir, metrics={
         "accuracy": report.accuracy, "macro_auc": report.macro_auc, "micro_auc": report.micro_auc,
     })
     print(f"eval {model.kind} on {args.domain}: accuracy={report.accuracy:.4f}"
@@ -363,8 +363,7 @@ def cmd_curve(args) -> int:
         factory, pool, eval_samples, grid, seed=args.seed, n_repeats=args.repeats,
     )
     write_curve_csv(points, out_dir / "curve.csv")
-    _write_metadata(args, out_dir, dataset,
-                    metrics={str(p.n_labeled): p.mean_accuracy for p in points})
+    _write_metadata(args, out_dir, metrics={str(p.n_labeled): p.mean_accuracy for p in points})
     for p in points:
         print(f"n={p.n_labeled:5d} accuracy={p.mean_accuracy:.4f} +- {p.std_accuracy:.4f}")
     return 0
@@ -403,12 +402,6 @@ QUICK = {
 }
 
 
-def _run(argv) -> None:
-    code = main(argv)
-    if code != 0:
-        raise RuntimeError(f"subcommand {argv[0]} failed with exit code {code}")
-
-
 def cmd_make_figures(args) -> int:
     from .serialize import KINDS
 
@@ -417,38 +410,44 @@ def cmd_make_figures(args) -> int:
     seed = args.seed
     det = ["--deterministic"] if args.deterministic else []
     data = str(out_dir / "dataset.csv")
+    parser = build_parser()
 
-    _run(["gen", "--seed", str(seed), "--n-source", str(fx["n_source"]),
-          "--n-target", str(fx["n_target"]), "--out", data,
-          "--out-dir", str(out_dir)] + det)
+    def run(argv) -> None:
+        # a failing stage raises to main, which prints its one error document
+        stage = parser.parse_args(argv)
+        stage.func(stage)
+
+    run(["gen", "--seed", str(seed), "--n-source", str(fx["n_source"]),
+         "--n-target", str(fx["n_target"]), "--out", data,
+         "--out-dir", str(out_dir)] + det)
 
     for model in KINDS:
         epochs = fx["qnn_epochs"] if model == "qnn" else fx["dnn_epochs"]
-        _run(["train", "--seed", str(seed), "--data", data, "--model", model,
-              "--labeled-fraction", str(fx["labeled_fraction"]),
-              "--epochs", str(epochs),
-              "--out-dir", str(out_dir / model)] + det)
+        run(["train", "--seed", str(seed), "--data", data, "--model", model,
+             "--labeled-fraction", str(fx["labeled_fraction"]),
+             "--epochs", str(epochs),
+             "--out-dir", str(out_dir / model)] + det)
 
     tunable = [kind for kind, cls in KINDS.items() if hasattr(cls, "transfer_frozen")]
     for model in tunable:
-        _run(["transfer", "--seed", str(seed), "--data", data,
-              "--checkpoint", str(out_dir / model / "checkpoint.json"),
-              "--fraction", str(fx["transfer_fraction"]),
-              "--epochs", str(fx["transfer_epochs"]),
-              "--repeats", str(fx["repeats"]),
-              "--out-dir", str(out_dir / f"transfer_{model}")] + det)
+        run(["transfer", "--seed", str(seed), "--data", data,
+             "--checkpoint", str(out_dir / model / "checkpoint.json"),
+             "--fraction", str(fx["transfer_fraction"]),
+             "--epochs", str(fx["transfer_epochs"]),
+             "--repeats", str(fx["repeats"]),
+             "--out-dir", str(out_dir / f"transfer_{model}")] + det)
 
     for model in tunable:
-        _run(["eval", "--seed", str(seed), "--data", data,
-              "--checkpoint", str(out_dir / model / "checkpoint.json"),
-              "--domain", "target",
-              "--out-dir", str(out_dir / f"eval_{model}")] + det)
+        run(["eval", "--seed", str(seed), "--data", data,
+             "--checkpoint", str(out_dir / model / "checkpoint.json"),
+             "--domain", "target",
+             "--out-dir", str(out_dir / f"eval_{model}")] + det)
 
     grid = ",".join(str(g) for g in fx["curve_grid"])
     for model in ("dnn", "knn"):
-        _run(["curve", "--seed", str(seed), "--data", data, "--model", model,
-              "--grid", grid, "--epochs", str(fx["dnn_epochs"]),
-              "--out-dir", str(out_dir / f"curve_{model}")] + det)
+        run(["curve", "--seed", str(seed), "--data", data, "--model", model,
+             "--grid", grid, "--epochs", str(fx["dnn_epochs"]),
+             "--out-dir", str(out_dir / f"curve_{model}")] + det)
 
     facts = {"fixture": fx, "seed": seed, "models": {}}
     for model in KINDS:

@@ -18,9 +18,10 @@ randomness comes from independent PCG64 child streams spawned from one seed
 (anchors / source noise / target shift+noise), so e.g. changing the target
 sample count never perturbs the source samples.
 
-A dataset's canonical CSV text renders every feature with `repr(float)`.
-`load_csv` parses a row's 36 features with one numpy conversion, which
-accepts the spellings `float()` accepts, and names the first bad line.
+`write_csv` renders every feature with `repr(float)`. `load_csv` parses a
+row's 36 features with one numpy conversion, which accepts the spellings
+`float()` accepts, and names the first bad line. `dataset_sha256` is the
+sha256 of a dataset file's bytes, the digest every run record carries.
 """
 
 from __future__ import annotations
@@ -277,39 +278,30 @@ def generate_synthetic(n_source: int, n_target: int, shift: ShiftSpec,
 
 CSV_HEADER = "label,domain,session," + ",".join(f"b{i}" for i in range(N_FEATURES))
 CSV_BLOCK_ROWS = 512
+HASH_BLOCK_BYTES = 1 << 20
 
 
-def _csv_blocks(dataset: Dataset):
-    """The canonical CSV text in pieces: the header line, then the rows in
+def write_csv(dataset: Dataset, path) -> None:
+    """Write the canonical CSV text: the header line, then the rows in
     blocks of CSV_BLOCK_ROWS, each rendered from one slice of the columns."""
-    yield CSV_HEADER + "\n"
     x = features_matrix(dataset)
-    for start in range(0, len(dataset), CSV_BLOCK_ROWS):
-        rows = slice(start, start + CSV_BLOCK_ROWS)
-        yield "".join(f"{label},{domain},{session},{','.join(map(repr, feats))}\n"
-                      for label, domain, session, feats in zip(
-                          dataset.labels[rows].tolist(), dataset.domain[rows].tolist(),
-                          dataset.session[rows].tolist(), x[rows].tolist()))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(dataset), CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            fh.write("".join(f"{label},{domain},{session},{','.join(map(repr, feats))}\n"
+                             for label, domain, session, feats in zip(
+                                 dataset.labels[rows].tolist(), dataset.domain[rows].tolist(),
+                                 dataset.session[rows].tolist(), x[rows].tolist())))
 
 
-def write_csv(dataset: Dataset, path) -> str:
-    """Write the canonical CSV text; returns its sha256, which equals
-    `dataset_sha256(dataset)`."""
-    digest = sha256()
-    with open(path, "wb") as fh:
-        for text in _csv_blocks(dataset):
-            data = text.encode("utf-8")
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
-
-
-def dataset_sha256(dataset: Dataset) -> str:
-    """sha256 of the dataset's canonical CSV text: the bytes `write_csv`
-    writes, whatever file the dataset was read from."""
-    digest = sha256()
-    for text in _csv_blocks(dataset):
-        digest.update(text.encode("utf-8"))
+def dataset_sha256(path) -> str:
+    """sha256 of a dataset file's bytes, read into one buffer of
+    HASH_BLOCK_BYTES at a time so the file is never held whole."""
+    digest, block = sha256(), bytearray(HASH_BLOCK_BYTES)
+    with open(path, "rb") as fh, memoryview(block) as view:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 

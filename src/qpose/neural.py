@@ -197,6 +197,10 @@ class DnnModel:
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DnnModel":
         check_int_fields(config, [f.name for f in fields(DnnConfig)])
         config = DnnConfig(**config)
+        for name, want in (("n_features", N_FEATURES), ("n_classes", N_CLASSES)):
+            if getattr(config, name) != want:
+                raise CheckpointError(f"checkpoint field config.{name} is"
+                                      f" {getattr(config, name)}, expected {want}")
         # n_blocks residual blocks take 2 * n_blocks names; check that before
         # param_shapes() builds them, so a huge n_blocks fails at once
         if isinstance(params, dict) and 2 * config.n_blocks > len(params):

@@ -9,15 +9,16 @@ One JSON schema covers every model kind:
 A kind is registered in `KINDS` (kind -> model class). This module owns the
 envelope; each class writes its `config` and `params` sections in
 `checkpoint_sections()` and restores itself in `from_checkpoint`. Loading
-validates: integer config fields, parameter names and shapes against the
-config, finite values, a (36,) normalizer with std > 0, kNN labels in 0..7,
-positive GNB priors; a violation raises `CheckpointError` naming the field.
+validates: integer config fields, a DNN config of 36 features and 8 classes,
+parameter names and shapes against the config, finite values, a (36,)
+normalizer with std > 0, kNN labels in 0..7, positive GNB priors; a
+violation raises `CheckpointError` naming the field.
 
 JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
-everything needed to reproduce a run: argv-style config, seeds, a SHA-256
-of the dataset's canonical CSV text, the BLAS thread variables in effect
-(null when unset), and the final metrics.
+everything needed to reproduce a run: argv-style config, seeds, the SHA-256
+of the bytes of the dataset file the run read (or `gen` wrote), the BLAS
+thread variables in effect (null when unset), and the final metrics.
 """
 
 from __future__ import annotations

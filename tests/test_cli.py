@@ -113,6 +113,25 @@ class TestGen:
         assert not any(out.iterdir())
 
 
+def test_each_stage_records_the_sha256_of_the_file_it_read(dataset, tmp_path):
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(dataset.read_bytes().replace(b"\n", b"\r\n"))
+    summaries = []
+    for data in (dataset, crlf):
+        out = tmp_path / data.stem
+        assert run_cli(["train", "--seed", "0", "--data", str(data), "--model", "knn"],
+                       out / "train") == 0
+        assert run_cli(["eval", "--seed", "0", "--data", str(data),
+                        "--checkpoint", str(out / "train" / "checkpoint.json")], out / "eval") == 0
+        for stage in ("train", "eval"):
+            meta = json.loads((out / stage / "metadata.json").read_text())
+            assert meta["dataset_sha256"] == sha(data), (data.name, stage)
+        summaries.append((out / "train" / "summary.json").read_bytes())
+    gen = json.loads((tmp_path / "gen" / "gen_metadata.json").read_text())
+    assert gen["dataset_sha256"] == sha(dataset) != sha(crlf)
+    assert summaries[0] == summaries[1]
+
+
 class TestTrain:
     def test_qnn_summary_reports_18_quantum_params(self, dataset, tmp_path):
         out = tmp_path / "qnn"
@@ -272,6 +291,22 @@ class TestEval:
         assert err["error"] == "CheckpointError"
         assert f"{section}.{field}" in err["message"]
 
+    @pytest.mark.parametrize("command", ["eval", "transfer"])
+    def test_dnn_checkpoint_of_other_dimensions_error_document(self, dataset, tmp_path,
+                                                                command):
+        config = DnnConfig(n_features=5, n_classes=3, hidden=9, n_blocks=1)
+        path = tmp_path / "dnn.json"
+        path.write_text(json.dumps(checkpoint_dict(
+            DnnModel.create(FeatureNormalizer.identity(), config=config))), encoding="utf-8")
+        proc = run_proc([command, "--data", str(dataset), "--checkpoint", str(path),
+                         "--out-dir", str(tmp_path / "e")])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        doc = json.loads(lines[0])
+        assert doc["error"] == "CheckpointError"
+        assert "config.n_features" in doc["message"]
+
 
 class TestTransfer:
     def test_repeated_transfer_outputs(self, dataset, tmp_path):
@@ -362,6 +397,16 @@ class TestHarness:
         assert "transfer" in facts["models"]["qnn"]
         assert (out / "curve_dnn" / "curve.csv").exists()
         assert (out / "eval_qnn" / "confusion.csv").exists()
+
+    def test_make_figures_failure_prints_one_error_document(self, tmp_path):
+        out = tmp_path / "figs"
+        out.mkdir()
+        (out / "dnn").write_text("a file where the dnn stage wants its directory\n")
+        proc = run_proc(["make-figures", "--quick", "--out-dir", str(out)])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "FileExistsError"
 
     def test_deterministic_reruns_bit_identical(self, tmp_path):
         # two fresh subprocesses, same seed, --deterministic: identical metrics

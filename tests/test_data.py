@@ -17,6 +17,7 @@ from rows import rows
 from qpose.data import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
+    HASH_BLOCK_BYTES,
     CsvFormatError,
     Dataset,
     Domain,
@@ -144,6 +145,14 @@ def load_csv_of(ds):
         path = Path(tmp) / "ds.csv"
         write_csv(ds, path)
         return load_csv(path)
+
+
+def canonical_sha256(ds):
+    """sha256 of the canonical CSV text: the file `write_csv` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        write_csv(ds, path)
+        return dataset_sha256(path)
 
 
 class TestCsv:
@@ -298,15 +307,29 @@ class TestCanonicalText:
         ds = Dataset(feats, ds.labels, ds.domain, ds.session)
         want = csv_text_by_value(ds)
         path = tmp_path / "ds.csv"
-        digest = write_csv(ds, path)
+        write_csv(ds, path)
         assert path.read_bytes() == want.encode("utf-8")
-        assert digest == dataset_sha256(ds) == hashlib.sha256(want.encode("utf-8")).hexdigest()
+        assert dataset_sha256(path) == hashlib.sha256(want.encode("utf-8")).hexdigest()
 
     def test_empty_dataset_is_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
         empty = Dataset(np.empty((0, N_FEATURES)), [], [], [])
-        assert write_csv(empty, path) == dataset_sha256(empty)
+        write_csv(empty, path)
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
+
+    def test_digest_is_of_the_file_bytes_read_in_blocks(self, tmp_path):
+        # any bytes, CRLF endings included; never more than a block in memory
+        data = b"label,domain\r\n" + bytes(range(256)) * (4 * HASH_BLOCK_BYTES // 256)
+        path = tmp_path / "big.csv"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = dataset_sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 1.5 * HASH_BLOCK_BYTES, peak
 
     @given(features=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(N_FEATURES)),
                                elements=FEATURE_FLOATS),
@@ -317,14 +340,13 @@ class TestCanonicalText:
         ds = rows_dataset(features, meta)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ds.csv"
-            digest = write_csv(ds, path)
+            write_csv(ds, path)
             data = path.read_bytes()
             back = load_csv(path)
         assert back.samples.tobytes() == ds.samples.tobytes()
         for name in ("labels", "domain", "session"):
             assert getattr(back, name).tolist() == getattr(ds, name).tolist(), name
-        assert digest == dataset_sha256(ds) == dataset_sha256(back)
-        assert digest == hashlib.sha256(data).hexdigest()
+        assert canonical_sha256(back) == hashlib.sha256(data).hexdigest()
 
 
 class TestGenerator:
@@ -332,12 +354,12 @@ class TestGenerator:
         spec = ShiftSpec(seed=11)
         a = generate_synthetic(100, 100, spec)
         b = generate_synthetic(100, 100, spec)
-        assert dataset_sha256(a) == dataset_sha256(b)
+        assert canonical_sha256(a) == canonical_sha256(b)
 
     def test_different_seed_differs(self):
         a = generate_synthetic(50, 50, ShiftSpec(seed=1))
         b = generate_synthetic(50, 50, ShiftSpec(seed=2))
-        assert dataset_sha256(a) != dataset_sha256(b)
+        assert canonical_sha256(a) != canonical_sha256(b)
 
     def test_target_counts_match_published_proportions(self):
         ds = generate_synthetic(800, 1040, ShiftSpec(seed=0))
@@ -400,10 +422,10 @@ class TestGenerator:
         # canonical-text digests of small datasets drawn by the per-sample
         # generator this one replaced; a zero-weight class draws no rows
         ds = generate_synthetic(40, 30, ShiftSpec(seed=3))
-        assert dataset_sha256(ds) == (
+        assert canonical_sha256(ds) == (
             "36562c5a8eea3fec5c01555eb7270dce55bb1db34f1bfb8169a40b5c38599584")
         ds = generate_synthetic(13, 9, ShiftSpec(seed=21), source_weights=(1, 0, 2, 0, 3, 0, 4, 5))
-        assert dataset_sha256(ds) == (
+        assert canonical_sha256(ds) == (
             "c234883576c12fea7dff76cb167ef2d08239123cd9501d983545793fba370966")
 
     def test_sessions_cycle_within_each_class(self):

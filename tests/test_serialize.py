@@ -210,6 +210,14 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=r"config\.n_blocks"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [("n_features", 5), ("n_classes", 3)])
+    def test_dnn_dimensions_must_match_the_data(self, field, value):
+        # consistent with its own params, but not with 36 features and 8 classes
+        config = DnnConfig(**{field: value}, hidden=9, n_blocks=1)
+        doc = checkpoint_dict(DnnModel.create(FeatureNormalizer.identity(), config=config))
+        with pytest.raises(CheckpointError, match=rf"config\.{field} is {value}, expected"):
+            model_from_dict(doc)
+
     def test_gnb_negative_prior_rejected(self, tmp_path):
         doc = checkpoint_dict(fitted_models()["gnb"])
         # sums to 1, so only the sign check can catch it
