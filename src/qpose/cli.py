@@ -14,6 +14,13 @@ metadata document that suffices to re-run it bit-identically. Exit code 0 on
 success; on failure a JSON error document goes to stderr and the exit code
 is nonzero. --out-dir defaults to $QPOSE_OUT_DIR or ./qpose_out.
 
+`_run` is the one place a parsed subcommand runs. It makes the out-dir, and
+for a stage that reads --data it loads that CSV, calls the stage with the
+`Dataset`, and writes the stage's metrics to metadata.json with the sha256
+of the file. `make-figures` runs every stage through it and parses
+dataset.csv once, after `gen`: the 10 stages that read it share that one
+read-only `Dataset`, and a standalone subcommand loads its own.
+
 Heavy imports stay inside functions so --deterministic can pin the BLAS
 thread count before numpy loads. Called in a process that has already loaded
 numpy, it warns on stderr and leaves the thread variables as they are.
@@ -42,12 +49,6 @@ def _force_single_thread() -> None:
         return
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
-
-
-def _out_dir(args) -> Path:
-    path = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or "qpose_out")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _shift_from_args(args):
@@ -180,10 +181,20 @@ def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
                      layers=args.layers, k=k, eval_samples=eval_samples)
 
 
-def _write_metadata(args, out_dir: Path, metrics: dict) -> None:
-    from .data import dataset_sha256
+def _run(args, dataset=None) -> None:
+    """Run one parsed subcommand; ``dataset``, if given, is ``args.data``
+    already loaded, so the stage does not parse the file again."""
+    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or "qpose_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not hasattr(args, "data"):  # gen and make-figures
+        args.func(args, out_dir)
+        return
+    from .data import dataset_sha256, load_csv
     from .serialize import write_run_metadata
 
+    if dataset is None:
+        dataset = load_csv(args.data)
+    metrics = args.func(args, dataset, out_dir)
     write_run_metadata(out_dir / "metadata.json", command=args.command,
                        config={k: v for k, v in vars(args).items() if k != "func"},
                        seed=args.seed, dataset_hash=dataset_sha256(args.data),
@@ -195,11 +206,10 @@ def _write_metadata(args, out_dir: Path, metrics: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, out_dir: Path) -> None:
     from .data import Domain, dataset_sha256, generate_synthetic, write_csv
     from .serialize import write_run_metadata
 
-    out_dir = _out_dir(args)
     shift = _shift_from_args(args)
     dataset = generate_synthetic(args.n_source, args.n_target, shift)
     out = Path(args.out) if args.out else out_dir / "dataset.csv"
@@ -229,16 +239,13 @@ def cmd_gen(args) -> int:
         deterministic=args.deterministic,
         metrics={"n_source": int(src.sum()), "n_target": int(tgt.sum())},
     )
-    return 0
 
 
-def cmd_train(args) -> int:
-    from .data import Domain, load_csv, split_labeled
+def cmd_train(args, dataset, out_dir: Path) -> dict:
+    from .data import Domain, split_labeled
     from .evaluation import evaluate
     from .serialize import save_checkpoint
 
-    out_dir = _out_dir(args)
-    dataset = load_csv(args.data)
     fraction = args.labeled_fraction
     if fraction is None and args.labeled_count is None:
         fraction = 0.5
@@ -263,23 +270,22 @@ def cmd_train(args) -> int:
 
     save_checkpoint(model, out_dir / "checkpoint.json")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_metadata(args, out_dir, metrics={
-        "in_domain_accuracy": summary.get("in_domain", {}).get("accuracy"),
-        "cross_domain_accuracy": summary.get("cross_domain", {}).get("accuracy"),
-    })
     acc = summary.get("in_domain", {}).get("accuracy")
-    print(f"trained {args.model}: params={summary.get('total_params')}"
-          f" in-domain accuracy={acc}")
-    return 0
+    # knn and gnb have no parameter count, and --labeled-fraction 1.0 holds nothing out
+    clauses = []
+    if "total_params" in summary:
+        clauses.append(f"params={summary['total_params']}")
+    if acc is not None:
+        clauses.append(f"in-domain accuracy={acc}")
+    print(f"trained {args.model}" + (": " + " ".join(clauses) if clauses else ""))
+    return {"in_domain_accuracy": acc,
+            "cross_domain_accuracy": summary.get("cross_domain", {}).get("accuracy")}
 
 
-def cmd_transfer(args) -> int:
-    from .data import load_csv
+def cmd_transfer(args, dataset, out_dir: Path) -> dict:
     from .serialize import load_checkpoint, save_checkpoint
     from .training import TransferConfig, run_repeated
 
-    out_dir = _out_dir(args)
-    dataset = load_csv(args.data)
     model = load_checkpoint(args.checkpoint)
     if not hasattr(model, "transfer_frozen"):
         raise ValueError(f"model kind `{model.kind}` does not support fine-tuning")
@@ -305,22 +311,17 @@ def cmd_transfer(args) -> int:
     (out_dir / "transfer_summary.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )
-    _write_metadata(args, out_dir, metrics={
-        k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")
-    })
     print(f"transfer {model.kind}: pre={doc['pre_accuracy_mean']:.4f}"
           f" post={doc['post_accuracy_mean']:.4f} +- {doc['post_accuracy_std']:.4f}"
           f" over {args.repeats} repeats")
-    return 0
+    return {k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")}
 
 
-def cmd_eval(args) -> int:
-    from .data import Domain, load_csv
+def cmd_eval(args, dataset, out_dir: Path) -> dict:
+    from .data import Domain
     from .evaluation import evaluate, write_confusion_csv, write_roc_csvs, write_summary_json
     from .serialize import load_checkpoint
 
-    out_dir = _out_dir(args)
-    dataset = load_csv(args.data)
     model = load_checkpoint(args.checkpoint)
     samples = dataset.by_domain(Domain(args.domain))
     if not samples:
@@ -330,20 +331,16 @@ def cmd_eval(args) -> int:
     write_summary_json(report, out_dir / "eval_summary.json")
     write_confusion_csv(report, out_dir / "confusion.csv")
     write_roc_csvs(report, out_dir)
-    _write_metadata(args, out_dir, metrics={
-        "accuracy": report.accuracy, "macro_auc": report.macro_auc, "micro_auc": report.micro_auc,
-    })
     print(f"eval {model.kind} on {args.domain}: accuracy={report.accuracy:.4f}"
           f" macro_auc={report.macro_auc:.4f} micro_auc={report.micro_auc:.4f}")
-    return 0
+    return {"accuracy": report.accuracy, "macro_auc": report.macro_auc,
+            "micro_auc": report.micro_auc}
 
 
-def cmd_curve(args) -> int:
-    from .data import Domain, load_csv, split_labeled
+def cmd_curve(args, dataset, out_dir: Path) -> dict:
+    from .data import Domain, split_labeled
     from .evaluation import accuracy_vs_samples_curve, write_curve_csv
 
-    out_dir = _out_dir(args)
-    dataset = load_csv(args.data)
     grid = [int(v) for v in args.grid.split(",") if v.strip()]
     if not grid:
         raise ValueError("empty --grid")
@@ -363,10 +360,9 @@ def cmd_curve(args) -> int:
         factory, pool, eval_samples, grid, seed=args.seed, n_repeats=args.repeats,
     )
     write_curve_csv(points, out_dir / "curve.csv")
-    _write_metadata(args, out_dir, metrics={str(p.n_labeled): p.mean_accuracy for p in points})
     for p in points:
         print(f"n={p.n_labeled:5d} accuracy={p.mean_accuracy:.4f} +- {p.std_accuracy:.4f}")
-    return 0
+    return {str(p.n_labeled): p.mean_accuracy for p in points}
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +398,24 @@ QUICK = {
 }
 
 
-def cmd_make_figures(args) -> int:
+def cmd_make_figures(args, out_dir: Path) -> None:
+    from .data import load_csv
     from .serialize import KINDS
 
     fx = QUICK if args.quick else FIXTURE
-    out_dir = _out_dir(args)
     seed = args.seed
     det = ["--deterministic"] if args.deterministic else []
     data = str(out_dir / "dataset.csv")
     parser = build_parser()
 
-    def run(argv) -> None:
-        # a failing stage raises to main, which prints its one error document
-        stage = parser.parse_args(argv)
-        stage.func(stage)
+    # a failing stage raises to main, which prints its one error document
+    _run(parser.parse_args(["gen", "--seed", str(seed), "--n-source", str(fx["n_source"]),
+                            "--n-target", str(fx["n_target"]), "--out", data,
+                            "--out-dir", str(out_dir)] + det))
+    dataset = load_csv(data)
 
-    run(["gen", "--seed", str(seed), "--n-source", str(fx["n_source"]),
-         "--n-target", str(fx["n_target"]), "--out", data,
-         "--out-dir", str(out_dir)] + det)
+    def run(argv) -> None:
+        _run(parser.parse_args(argv), dataset)
 
     for model in KINDS:
         epochs = fx["qnn_epochs"] if model == "qnn" else fx["dnn_epochs"]
@@ -470,7 +466,6 @@ def cmd_make_figures(args) -> int:
         facts["models"][model] = entry
     (out_dir / "facts.json").write_text(json.dumps(facts, indent=2) + "\n", encoding="utf-8")
     print(f"fixture pipeline complete; aggregated numbers in {out_dir / 'facts.json'}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -480,7 +475,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _run(args)
+        return 0
     except BrokenPipeError:
         return 1
     except Exception as exc:  # noqa: BLE001  - boundary: report and exit nonzero

@@ -200,6 +200,26 @@ class TestTrain:
         assert "epoch 0" in doc["message"] and "1e+300" in doc["message"]
         assert not (out / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("model, fraction, clauses", [
+        ("gnb", "0.5", ["in-domain accuracy"]),
+        ("knn", "0.5", ["in-domain accuracy"]),
+        ("knn", "1.0", []),
+        ("dnn", "1.0", ["params"]),
+    ])
+    def test_stdout_names_only_what_the_run_has(self, dataset, tmp_path, capsys, model,
+                                                fraction, clauses):
+        # knn and gnb have no parameter count, and fraction 1.0 leaves no held-out split
+        out = tmp_path / model
+        assert run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", model,
+                        "--labeled-fraction", fraction, "--epochs", "1"], out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        values = {"params": summary.get("total_params"),
+                  "in-domain accuracy": summary.get("in_domain", {}).get("accuracy")}
+        expected = f"trained {model}"
+        if clauses:
+            expected += ": " + " ".join(f"{c}={values[c]}" for c in clauses)
+        assert capsys.readouterr().out == expected + "\n"
+
 
 def _assert_flag_rejected(code, capsys, flag, out):
     field = flag[2:].replace("-", "_")
@@ -397,6 +417,39 @@ class TestHarness:
         assert "transfer" in facts["models"]["qnn"]
         assert (out / "curve_dnn" / "curve.csv").exists()
         assert (out / "eval_qnn" / "confusion.csv").exists()
+
+    def test_make_figures_parses_the_dataset_once(self, tmp_path, monkeypatch):
+        import qpose.data
+
+        calls = []
+        load_csv = qpose.data.load_csv
+        monkeypatch.setattr(qpose.data, "load_csv",
+                            lambda path: calls.append(path) or load_csv(path))
+        out = tmp_path / "figs"
+        assert run_cli(["make-figures", "--quick"], out) == 0
+        assert calls == [str(out / "dataset.csv")]
+
+    def test_make_figures_stages_write_what_standalone_runs_write(self, tmp_path):
+        # a stage handed make-figures' Dataset writes the bytes it writes
+        # when it loads --data itself, metadata.json included
+        out = tmp_path / "figs"
+        assert run_cli(["make-figures", "--quick", "--deterministic"], out) == 0
+        fx, data, seed = cli.QUICK, str(out / "dataset.csv"), str(cli.FIXTURE_SEED)
+        stages = {
+            "dnn": ["train", "--seed", seed, "--data", data, "--model", "dnn",
+                    "--labeled-fraction", str(fx["labeled_fraction"]),
+                    "--epochs", str(fx["dnn_epochs"])],
+            "eval_qnn": ["eval", "--seed", seed, "--data", data,
+                         "--checkpoint", str(out / "qnn" / "checkpoint.json"),
+                         "--domain", "target"],
+        }
+        for name, argv in stages.items():
+            stage_dir = out / name
+            written = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
+            for p in stage_dir.iterdir():
+                p.unlink()
+            assert run_cli([*argv, "--deterministic"], stage_dir) == 0
+            assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == written, name
 
     def test_make_figures_failure_prints_one_error_document(self, tmp_path):
         out = tmp_path / "figs"
