@@ -30,12 +30,23 @@ the base state at its own gate. A shift outside a group's cone leaves that
 group's readout at its base value. Every logical circuit is still counted
 once; the sweep only skips work whose result is known.
 
+Groups whose cones run the same local gates on different angle slots (the
+four middle cones at n=10, L=1) share one staircase, each group a block of
+columns with its own angles, when their shifts fork at the same gates: a
+full-gradient sample there runs 3 staircases of 14 RY and 5 CZ kernel
+calls instead of 6 of 38 and 14. `cone_stacks` caches the grouping, and
+`_sweep_parts` its split by the shifted slots of a call. The
+readout stays one call per group on that group's own probabilities, with
+the rows per call the unstacked sweep had, so the stacking moves no bit of
+the output. A circuit whose widest group would hold more than
+`MAX_CONE_AMPLITUDES` amplitudes is refused when its `StdAnsatz` is made.
+
 Implementation note: RY and CZ have real matrices and the start state
-|0...0> is real, so every statevector is real. The `statevector` row
-kernels run on float64 buffers, batching many circuits (and many samples)
-as rows of one array. The acceptance tests check the base circuit and
-every +-pi/2 shift against a dense Kronecker-product simulation of the
-whole register.
+|0...0> is real, so every statevector is real. The `statevector` kernels
+run on basis-major float64 buffers, batching many circuits (and many
+samples) as the columns of one (2^w, columns) array. The acceptance tests
+check the base circuit and every +-pi/2 shift against a dense
+Kronecker-product simulation of the whole register.
 """
 
 from __future__ import annotations
@@ -45,7 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import FeatureNormalizer, N_CLASSES, N_FEATURES, check_int_fields, checkpoint_arrays
+from .data import (CheckpointError, FeatureNormalizer, N_CLASSES, N_FEATURES,
+                   check_int_fields, checkpoint_arrays)
 from .neural import linear_init, n_params, softmax, softmax_cross_entropy
 from .statevector import (
     GateKind,
@@ -71,6 +83,13 @@ def reset_evaluation_count() -> None:
     _eval_count = 0
 
 
+# The widest light-cone group a circuit may run on: 2^16 amplitudes, 512 KiB
+# a state. A sweep holds 1 + 2K states of its widest group per sample, so a
+# register past this (30 qubits at 8 layers is one group of 2^30, 8 GiB a
+# state) is refused before anything is allocated.
+MAX_CONE_AMPLITUDES = 1 << 16
+
+
 @dataclass(frozen=True)
 class StdAnsatz:
     """Simplified-two-design circuit template.
@@ -78,7 +97,8 @@ class StdAnsatz:
     Per layer: block A applies CZ to pairs (0,1),(2,3),... with an RY on
     both pair members after each CZ; block B does the same on the staggered
     pairs (1,2),(3,4),.... Works for odd n too; either way each layer holds
-    2(n-1) trainable angles.
+    2(n-1) trainable angles. A circuit whose widest `light_cones` group
+    holds more than `MAX_CONE_AMPLITUDES` amplitudes is rejected.
     """
 
     n_qubits: int = 10
@@ -89,6 +109,16 @@ class StdAnsatz:
             raise ValueError("need at least 2 qubits")
         if self.n_layers < 1:
             raise ValueError("need at least 1 layer")
+        limit = f"the limit of MAX_CONE_AMPLITUDES = 2^{MAX_CONE_AMPLITUDES.bit_length() - 1}"
+        # the cone walk costs O(n^2 L); a register wider than the limit has
+        # amplitudes is refused before its gate list is built
+        if self.n_qubits > MAX_CONE_AMPLITUDES:
+            raise ValueError(f"{self.n_qubits} qubits is over {limit}")
+        widest = max(len(group[0]) for group in light_cones(self.n_qubits, self.n_layers))
+        if 1 << widest > MAX_CONE_AMPLITUDES:
+            raise ValueError(
+                f"{self.n_qubits} qubits at {self.n_layers} layers need a light-cone group of"
+                f" {widest} qubits (2^{widest} amplitudes a state), over {limit}")
 
     @property
     def n_theta(self) -> int:
@@ -96,31 +126,42 @@ class StdAnsatz:
 
     def layout(self, slot_offset: int = 0) -> list[GateOp]:
         """Ansatz gates with RY slots numbered slot_offset, slot_offset+1, ..."""
-        ops: list[GateOp] = []
-        slot = slot_offset
-        for _ in range(self.n_layers):
-            for start in (0, 1):
-                for a in range(start, self.n_qubits - 1, 2):
-                    ops.append(cz(a, a + 1))
-                    ops.append(ry(a, slot))
-                    ops.append(ry(a + 1, slot + 1))
-                    slot += 2
-        return ops
+        return _ansatz_gates(self.n_qubits, self.n_layers, slot_offset)
 
     def dressed_ops(self) -> list[GateOp]:
         """Encoding RY on every qubit (slots 0..n-1) followed by the ansatz
         (slots n..n+2(n-1)L-1)."""
-        encoding = [ry(q, q) for q in range(self.n_qubits)]
-        return encoding + self.layout(slot_offset=self.n_qubits)
+        return _dressed_gates(self.n_qubits, self.n_layers)
 
     @property
     def n_slots(self) -> int:
         return self.n_qubits + self.n_theta
 
 
+def _ansatz_gates(n_qubits: int, n_layers: int, slot_offset: int) -> list[GateOp]:
+    ops: list[GateOp] = []
+    slot = slot_offset
+    for _ in range(n_layers):
+        for start in (0, 1):
+            for a in range(start, n_qubits - 1, 2):
+                ops.append(cz(a, a + 1))
+                ops.append(ry(a, slot))
+                ops.append(ry(a + 1, slot + 1))
+                slot += 2
+    return ops
+
+
+def _dressed_gates(n_qubits: int, n_layers: int) -> list[GateOp]:
+    return [ry(q, q) for q in range(n_qubits)] + _ansatz_gates(n_qubits, n_layers, n_qubits)
+
+
 # Amplitudes per chunk of the sweep: small enough that a chunk's
 # statevectors stay in cache across the gate sequence; large batches run
-# noticeably faster in chunks than as one huge buffer.
+# noticeably faster in chunks than as one huge buffer. A group's readout
+# sees as many rows per call as its chunk holds, and BLAS sums a row in
+# another order at some row counts (one row; 9+ qubits), so the value also
+# fixes the last bits of the outputs. 64K ran a batch-100 gradient about a
+# third faster, but moved those bits (CHANGES.md).
 _CHUNK_AMPLITUDES = 32 * 1024
 
 
@@ -144,8 +185,9 @@ def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None):
     if angles.shape[1] != ansatz.n_slots:
         raise ValueError(f"expected {ansatz.n_slots} angles per row, got {angles.shape[1]}")
     shifted = [] if slots is None else [int(j) for j in slots]
-    if len(set(shifted)) != len(shifted) or not all(0 <= j < ansatz.n_slots for j in shifted):
-        raise ValueError(f"slots must be distinct angle slots in 0..{ansatz.n_slots - 1}")
+    n_slots = ansatz.n_slots
+    if len(set(shifted)) != len(shifted) or not all(0 <= j < n_slots for j in shifted):
+        raise ValueError(f"slots must be distinct angle slots in 0..{n_slots - 1}")
     out = _staircase_sweep(ansatz, angles, shifted)
     _eval_count += rows * (1 + 2 * len(shifted))
     if slots is None:
@@ -167,7 +209,7 @@ def light_cones(n_qubits: int, n_layers: int):
     local indices. If the groups together hold at least 2^n amplitudes, one
     group of every qubit and gate takes their place.
     """
-    ops = StdAnsatz(n_qubits, n_layers).dressed_ops()
+    ops = _dressed_gates(n_qubits, n_layers)
 
     def cone(readout):
         live, gates = set(readout), []
@@ -194,66 +236,132 @@ def light_cones(n_qubits: int, n_layers: int):
     return tuple(result)
 
 
+@lru_cache(maxsize=None)
+def cone_stacks(n_qubits: int, n_layers: int):
+    """The `light_cones` groups, with congruent groups stacked.
+
+    Groups whose local gates agree apart from their angle slots, and whose
+    local readout indices agree, run the same staircase on different
+    angles, so they can share one. Returns a tuple of ``(width, ops, local,
+    slots, readout)`` per stack of m groups: ``ops`` are the first group's
+    local gates, ``local`` the shared local readout indices, ``slots`` an
+    (m, G) array of each group's angle slot for its G RY gates in gate
+    order, and ``readout`` an (m, r) array of each group's readout qubits.
+    """
+    stacks: dict[tuple, list] = {}
+    for qubits, ops, readout, local in light_cones(n_qubits, n_layers):
+        gates = tuple((op.kind, op.target, op.control) for op in ops)
+        stacks.setdefault((len(qubits), gates, local), []).append((ops, readout))
+    result = []
+    for (width, _, local), members in stacks.items():
+        slots = np.array([[op.angle_slot for op in ops if op.kind is GateKind.RY]
+                          for ops, _ in members])
+        readout = np.array([r for _, r in members])
+        local = np.array(local)
+        for array in (local, slots, readout):
+            array.flags.writeable = False
+        result.append((width, members[0][0], local, slots, readout))
+    return tuple(result)
+
+
+@lru_cache(maxsize=64)
+def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
+    """`cone_stacks` split by which RY gates carry one of ``slots``: a tuple
+    of ``(width, ops, local, forks, table, readout, src)`` per part, where
+    ``forks`` marks the RY gates that fork, ``table`` and ``readout`` are
+    the part's rows of the stack's arrays, and ``src`` (m, 1 + 2K) maps
+    every output block to the staircase block each group reads it from:
+    the base unless the shift lies in the group's cone."""
+    caller = np.full(n_qubits + 2 * (n_qubits - 1) * n_layers, -1)
+    caller[list(slots)] = np.arange(len(slots))
+    parts = []
+    for width, ops, local, table, readout in cone_stacks(n_qubits, n_layers):
+        where = caller[table]
+        split: dict[bytes, list[int]] = {}
+        for c, forks in enumerate(where >= 0):
+            split.setdefault(forks.tobytes(), []).append(c)
+        for members in split.values():
+            forks = where[members[0]] >= 0
+            src = np.zeros((len(members), 1 + 2 * len(slots)), dtype=np.intp)
+            plus = 1 + 2 * where[members][:, forks]
+            group = np.arange(len(members))[:, None]
+            src[group, plus] = np.arange(1, plus.shape[1] * 2, 2)
+            src[group, plus + 1] = np.arange(2, plus.shape[1] * 2 + 1, 2)
+            part = (forks, table[members], readout[members], src)
+            for array in part:
+                array.flags.writeable = False
+            parts.append((width, ops, local, *part))
+    return tuple(parts)
+
+
 def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) -> np.ndarray:
     """Base circuit and its +-pi/2 shifts at ``slots``, light cone by light cone.
 
     Returns (1 + 2K, rows, n_qubits): block 0 is the base circuit, blocks
-    1 + 2i and 2 + 2i its shifts at ``slots[i]``. Each group of
-    `light_cones` runs `_cone_staircase` over the requested slots inside its
-    cone; a shift outside the cone leaves the group's readout at its base
-    value, so those blocks take the base readout.
+    1 + 2i and 2 + 2i its shifts at ``slots[i]``. The groups of each part
+    of `_sweep_parts` fork at the same gates and run `_cone_staircase`
+    side by side, as many as fit `_CHUNK_AMPLITUDES`. Chunks hold as many
+    rows as fit it for one group, at least one. A shift outside a group's
+    cone leaves its readout at the base value, so those blocks take the
+    base readout.
     """
-    rows, n = angles.shape[0], ansatz.n_qubits
-    out = np.empty((1 + 2 * len(slots), rows, n))
-    for qubits, ops, readout, local in light_cones(n, ansatz.n_layers):
-        in_cone = {op.angle_slot for op in ops if op.kind is GateKind.RY}
-        inside = [i for i, j in enumerate(slots) if j in in_cone]
-        part = _cone_staircase(len(qubits), ops, angles, [slots[i] for i in inside])[:, :, local]
-        out[:, :, readout] = part[0]
-        blocks = [0] + [b for i in inside for b in (1 + 2 * i, 2 + 2 * i)]
-        out[np.ix_(blocks, range(rows), readout)] = part
+    rows = angles.shape[0]
+    out = np.empty((1 + 2 * len(slots), rows, ansatz.n_qubits))
+    parts = _sweep_parts(ansatz.n_qubits, ansatz.n_layers, tuple(slots))
+    for width, ops, local, forks, table, readout, src in parts:
+        blocks = 1 + 2 * int(forks.sum())
+        per_chunk = max(1, _CHUNK_AMPLITUDES // (blocks << width))
+        chunk_rows = max(1, min(rows, per_chunk))
+        per_stack = max(1, _CHUNK_AMPLITUDES // (blocks * chunk_rows << width))
+        for first in range(0, len(table), per_stack):
+            stack = slice(first, first + per_stack)
+            for lo in range(0, rows, per_chunk):
+                chunk = angles[lo : lo + per_chunk]
+                z = _cone_staircase(width, ops, forks, table[stack], chunk)
+                for i, z_i in enumerate(z, start=first):
+                    out[:, lo : lo + len(chunk), readout[i]] = z_i[:, :, local][src[i]]
     return out
 
 
-def _cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -> np.ndarray:
-    """Run ``ops`` on ``width`` qubits for the base circuit and its +-pi/2
-    shifts at ``slots`` in one pass over the gates.
+def _cone_staircase(width: int, ops, forks: np.ndarray, table: np.ndarray,
+                    chunk: np.ndarray) -> list[np.ndarray]:
+    """Run ``ops`` on ``width`` qubits for m congruent groups at once: the
+    base circuit of every ``chunk`` row and its +-pi/2 shifts at the RY
+    gates marked in ``forks``, in one pass over the gates.
 
-    A circuit shifted at slot j equals the base circuit up to j's RY gate,
-    so the shifted pair is copied from the base rows right there and only
-    the remaining gates run on it. Rows are laid out slot-major in gate
-    order, (1 + 2K) blocks of one row per sample, which keeps the rows
-    that are live at any gate a leading slice of the buffer. Chunks hold as
-    many samples as fit `_CHUNK_AMPLITUDES`, at least one. Returns
-    (1 + 2K, rows, width) with the shifts in the order of ``slots``.
+    ``table`` (m, G) holds each group's angle slot of its G RY gates. A
+    circuit shifted at slot j equals the base circuit up to j's RY gate, so
+    the shifted pair is copied from the base states right there and only
+    the remaining gates run on it. The s rows run as a (2^w, B * m * s)
+    buffer of B = 1 + 2K blocks in gate order, each holding every group's
+    s states, so the states live at any gate are a leading column slice.
+    Returns each group's (B, s, width) readout, read from its own
+    contiguous (B * s, 2^w) probabilities, block-major.
     """
-    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
-    order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
-    opens = {gate_of[j] for j in slots}
-    blocks = 1 + 2 * len(slots)
-    rows = angles.shape[0]
-    out = np.empty((blocks, rows, width))
-    per_chunk = max(1, _CHUNK_AMPLITUDES // (blocks << width))
-    for lo in range(0, rows, per_chunk):
-        chunk = angles[lo : lo + per_chunk]
-        s = chunk.shape[0]
-        amps = zero_states(width, batch=blocks * s)
-        live = s
-        for g, op in enumerate(ops):
-            if op.kind is GateKind.CZ:
-                cz_rows(amps[:live], op.control, op.target)
-                continue
-            column = chunk[:, op.angle_slot]
-            theta = np.tile(column, live // s)
-            if g in opens:
-                amps[live : live + 2 * s].reshape(2, s, -1)[:] = amps[:s]
-                theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
-                live += 2 * s
-            ry_rows(amps[:live], op.target, theta)
-        out[:, lo : lo + s] = z_expectations_rows(amps).reshape(blocks, s, width)
-    # blocks are in gate order; hand the shifts back in the caller's order
-    rank = np.argsort(order)
-    return out[np.concatenate([[0], np.stack([1 + 2 * rank, 2 + 2 * rank], axis=1).ravel()])]
+    m, s = table.shape[0], chunk.shape[0]
+    blocks = 1 + 2 * int(forks.sum())
+    cols = m * s
+    angles = chunk.T
+    amps = zero_states(width, batch=blocks * cols)
+    live = cols
+    g = 0
+    for op in ops:
+        if op.kind is GateKind.CZ:
+            cz_rows(amps[:, :live], op.control, op.target)
+            continue
+        base = angles[table[:, g]].ravel()
+        theta = [base] * (live // cols)
+        if forks[g]:
+            amps[:, live : live + 2 * cols].reshape(-1, 2, cols)[:] = amps[:, None, :cols]
+            theta += [base + np.pi / 2, base - np.pi / 2]
+            live += 2 * cols
+        ry_rows(amps[:, :live], op.target, np.concatenate(theta))
+        g += 1
+    amps *= amps
+    states = amps.reshape(-1, blocks, m, s)
+    return [z_expectations_rows(np.ascontiguousarray(states[:, :, i].transpose(1, 2, 0))
+                                .reshape(blocks * s, -1)).reshape(blocks, s, width)
+            for i in range(m)]
 
 
 @dataclass(eq=False)
@@ -293,12 +401,17 @@ class DressedQnnModel:
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DressedQnnModel":
         check_int_fields(config, ("n_qubits", "n_layers"))
-        ansatz = StdAnsatz(n_qubits=config["n_qubits"], n_layers=config["n_layers"])
-        n = ansatz.n_qubits
-        shapes = {"in.w": (N_FEATURES, n), "in.b": (n,), "theta": (ansatz.n_theta,),
+        n, layers = config["n_qubits"], config["n_layers"]
+        # shapes first: a register no parameters were saved for builds no gates
+        shapes = {"in.w": (N_FEATURES, n), "in.b": (n,), "theta": (2 * (n - 1) * layers,),
                   "out.w": (n, N_CLASSES), "out.b": (N_CLASSES,)}
-        return cls(ansatz=ansatz, params=checkpoint_arrays("params", params, shapes),
-                   normalizer=normalizer)
+        arrays = checkpoint_arrays("params", params, shapes)
+        try:
+            ansatz = StdAnsatz(n_qubits=n, n_layers=layers)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint fields config.n_qubits={n} and"
+                                  f" config.n_layers={layers}: {exc}") from exc
+        return cls(ansatz=ansatz, params=arrays, normalizer=normalizer)
 
     def checkpoint_sections(self) -> tuple[dict, dict]:
         config = {"n_qubits": self.ansatz.n_qubits, "n_layers": self.ansatz.n_layers}

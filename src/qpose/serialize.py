@@ -18,7 +18,10 @@ JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
 everything needed to reproduce a run: argv-style config, seeds, the SHA-256
 of the bytes of the dataset file the run read (or `gen` wrote), the BLAS
-thread variables in effect (null when unset), and the final metrics.
+thread variables in effect (null when unset), the numpy version and the
+SIMD features numpy enabled on the host, and the final metrics. numpy picks
+its vector loops by those features, so they are the conditions under which
+a rerun is bit-identical; checkpoints and summaries never record them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 from . import BLAS_THREAD_VARS
 from .baselines import GnbModel, KnnModel
@@ -92,6 +97,15 @@ def load_checkpoint(path):
     return model_from_dict(doc)
 
 
+def _numpy_simd() -> list[str]:
+    """The SIMD features numpy enabled on this host, in numpy's order."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [name for name, enabled in __cpu_features__.items() if enabled]
+
+
 def write_run_metadata(path, *, command: str, config: dict, seed: int,
                        dataset_hash: str, deterministic: bool, metrics: dict) -> None:
     doc = {
@@ -102,6 +116,8 @@ def write_run_metadata(path, *, command: str, config: dict, seed: int,
         "dataset_sha256": dataset_hash,
         "deterministic": deterministic,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "numpy_version": np.__version__,
+        "numpy_simd": _numpy_simd(),
         "metrics": metrics,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -9,11 +9,15 @@ Pauli-Y rotations, controlled-Z entanglers, and exact (noise-free) Pauli-Z
 expectation readout per qubit.
 
 RY and CZ have real matrix elements, so circuits starting from |0...0> keep
-purely real amplitudes, and every buffer here is float64. The row kernels
-(`zero_states`, `ry_rows`, `cz_rows`, `z_expectations_rows`) act in place
-on a (batch, 2^n) buffer of stacked states with stride-based pair
-indexing, O(2^n) work per gate and row; a 2^n x 2^n matrix is never
-materialized. `quantum_classifier.z_from_angles` is the one circuit runner
+purely real amplitudes, and every buffer here is float64. The gate kernels
+(`zero_states`, `ry_rows`, `cz_rows`) act in place on a basis-major
+(2^n, batch) buffer: column i holds state i, and row b holds amplitude b of
+every state. A gate then pairs whole rows, so each kernel call is a few
+long row operations whatever the batch, O(2^n) work per gate and state; a
+2^n x 2^n matrix is never materialized. A column slice of the buffer is a
+valid argument, which lets a caller run a gate on its leading states only.
+`z_expectations_rows` reads out (batch, 2^n) basis-state probabilities, one
+state per row. `quantum_classifier.z_from_angles` is the one circuit runner
 built on them.
 """
 
@@ -77,49 +81,50 @@ def _check_qubit(qubit: int, n_qubits: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row kernels: operate in place on a C-contiguous (batch, 2^n) buffer.
+# Kernels: gates act in place on a (2^n, batch) buffer, one state per column.
 # ---------------------------------------------------------------------------
 
 
 def zero_states(n_qubits: int, batch: int = 1) -> np.ndarray:
-    """Stack of ``batch`` copies of |0...0> as a float64 (batch, 2^n) buffer."""
-    amps = np.zeros((batch, 1 << n_qubits))
-    amps[:, 0] = 1.0
+    """``batch`` copies of |0...0> as the columns of a float64 (2^n, batch)
+    buffer."""
+    amps = np.zeros((1 << n_qubits, batch))
+    amps[0] = 1.0
     return amps
 
 
 def ry_rows(amps: np.ndarray, qubit: int, theta) -> None:
-    """Apply RY(theta) on ``qubit`` to every row of ``amps``, in place.
+    """Apply RY(theta) on ``qubit`` to every state (column) of ``amps``, in
+    place.
 
-    ``theta`` is a scalar shared by all rows or a per-row vector.
+    ``theta`` is a scalar shared by all states or a per-column vector.
     """
-    batch, dim = amps.shape
+    dim, batch = amps.shape
     _check_qubit(qubit, dim.bit_length() - 1)
     low = 1 << qubit
-    view = amps.reshape(batch, dim >> (qubit + 1), 2, low)
+    view = amps.reshape(dim >> (qubit + 1), 2, low, batch)
     c = np.cos(np.multiply(theta, 0.5))
     s = np.sin(np.multiply(theta, 0.5))
-    if np.ndim(c):
-        c = c[:, None, None]
-        s = s[:, None, None]
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = c * a0 - s * a1
-    view[:, :, 1, :] *= c
-    view[:, :, 1, :] += s * a0
+    a0 = view[:, 0]
+    a1 = view[:, 1]
+    s_a0 = s * a0
+    a0 *= c
+    a0 -= s * a1
+    a1 *= c
+    a1 += s_a0
 
 
 def cz_rows(amps: np.ndarray, a: int, b: int) -> None:
-    """Apply CZ between qubits ``a`` and ``b`` to every row, in place."""
-    batch, dim = amps.shape
+    """Apply CZ between qubits ``a`` and ``b`` to every state, in place."""
+    dim, batch = amps.shape
     n = dim.bit_length() - 1
     _check_qubit(a, n)
     _check_qubit(b, n)
     if a == b:
         raise IndexError("CZ control and target must differ")
     lo, hi = (a, b) if a < b else (b, a)
-    view = amps.reshape(batch, dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    view[:, :, 1, :, 1, :] *= -1.0
+    view = amps.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo, batch)
+    view[:, 1, :, 1] *= -1.0
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +136,8 @@ def z_signs(n_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
-def z_expectations_rows(amps: np.ndarray) -> np.ndarray:
-    """Per-qubit <Z> for every row of a (batch, 2^n) buffer, as (batch, n)."""
-    dim = amps.shape[1]
-    return (amps * amps) @ z_signs(dim.bit_length() - 1)
+def z_expectations_rows(probs: np.ndarray) -> np.ndarray:
+    """Per-qubit <Z> from a (batch, 2^n) buffer of basis-state
+    probabilities (squared amplitudes, one state per row), as (batch, n)."""
+    dim = probs.shape[1]
+    return probs @ z_signs(dim.bit_length() - 1)

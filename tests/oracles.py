@@ -9,12 +9,15 @@ naive Bayes posteriors from direct density products at 50-digit precision.
 runner, `z_from_angles`: the dressed circuit and every +-pi/2 shift of it
 on the whole register.
 
-The exceptions drive the production row kernels (`ry_rows`, `cz_rows`,
+The exceptions drive the production kernels (`ry_rows`, `cz_rows`,
 `z_expectations_rows`): `run_circuit` (one kernel call per gate) and the
 single-state helpers `apply_ry`, `apply_cz` and `expectation_z`, which the
 tests check against the Kronecker oracle, and `full_width_sweep`, the
 all-qubit staircase that the light cones of `z_from_angles` must match to
-1e-12.
+1e-12. `per_cone_sweep` runs the production `light_cones` groups one at
+a time on row-major (states, 2^w) buffers, with its own row kernels: the
+form that the basis-major, stacked sweep of `z_from_angles` must match bit
+for bit.
 
 `loop_binary_roc`, `csv_text_by_value` and `loop_stratified_subset` are
 the loop forms of the array-at-a-time ROC sweep, CSV rendering and subset
@@ -35,12 +38,14 @@ import numpy as np
 from mpmath import mp, mpf
 
 from qpose.data import CSV_HEADER, N_CLASSES, apportion
+from qpose.quantum_classifier import light_cones
 from qpose.statevector import (
     GateKind,
     GateOp,
     cz_rows,
     ry_rows,
     z_expectations_rows,
+    z_signs,
     zero_states,
 )
 
@@ -131,21 +136,21 @@ def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
             ry_rows(amps, op.target, float(params[op.angle_slot]))
         else:
             cz_rows(amps, op.control, op.target)
-    return amps[0]
+    return amps[:, 0]
 
 
 def apply_ry(amps: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """RY rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]] on one qubit."""
-    out = np.array(amps, dtype=np.float64).reshape(1, -1)
+    out = np.array(amps, dtype=np.float64).reshape(-1, 1)
     ry_rows(out, qubit, float(theta))
-    return out[0]
+    return out[:, 0]
 
 
 def apply_cz(amps: np.ndarray, a: int, b: int) -> np.ndarray:
     """Negate amplitudes of basis states where qubits a and b are both 1."""
-    out = np.array(amps, dtype=np.float64).reshape(1, -1)
+    out = np.array(amps, dtype=np.float64).reshape(-1, 1)
     cz_rows(out, a, b)
-    return out[0]
+    return out[:, 0]
 
 
 def expectation_z(amps: np.ndarray, qubit: int) -> float:
@@ -153,13 +158,13 @@ def expectation_z(amps: np.ndarray, qubit: int) -> float:
     n_qubits = amps.size.bit_length() - 1
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    return float(z_expectations_rows(amps.reshape(1, -1))[0, qubit])
+    return float(z_expectations_rows(np.square(amps).reshape(1, -1))[0, qubit])
 
 
 def full_width_sweep(ansatz, angles, slots=()):
     """The dressed circuit and its +-pi/2 shifts at ``slots`` on all n
     qubits, in one staircase pass over every gate: each shifted pair is
-    copied from the base rows at its own RY gate. Returns ``(z, z_plus,
+    copied from the base states at its own RY gate. Returns ``(z, z_plus,
     z_minus)`` shaped like `z_from_angles` with slots."""
     n = ansatz.n_qubits
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
@@ -171,7 +176,7 @@ def full_width_sweep(ansatz, angles, slots=()):
     blocks = 1 + 2 * len(slots)
     rows = angles.shape[0]
     out = np.empty((blocks, rows, n))
-    per_chunk = max(1, 32 // blocks)  # 32 rows of 2^n amplitudes per chunk
+    per_chunk = max(1, 32 // blocks)  # 32 states of 2^n amplitudes per chunk
     for lo in range(0, rows, per_chunk):
         chunk = angles[lo : lo + per_chunk]
         s = chunk.shape[0]
@@ -179,7 +184,68 @@ def full_width_sweep(ansatz, angles, slots=()):
         live = s
         for g, op in enumerate(ops):
             if op.kind is GateKind.CZ:
-                cz_rows(amps[:live], op.control, op.target)
+                cz_rows(amps[:, :live], op.control, op.target)
+                continue
+            column = chunk[:, op.angle_slot]
+            theta = np.tile(column, live // s)
+            if g in opens:
+                amps[:, live : live + 2 * s].reshape(-1, 2, s)[:] = amps[:, None, :s]
+                theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
+                live += 2 * s
+            ry_rows(amps[:, :live], op.target, theta)
+        probs = np.ascontiguousarray(amps.T)
+        out[:, lo : lo + s] = z_expectations_rows(probs * probs).reshape(blocks, s, n)
+    rank = np.argsort(order)
+    z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
+    z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
+    return out[0], z_plus, z_minus
+
+
+def _row_ry(amps: np.ndarray, qubit: int, theta) -> None:
+    """RY on ``qubit`` of every row of a row-major (states, 2^n) buffer."""
+    batch, dim = amps.shape
+    low = 1 << qubit
+    view = amps.reshape(batch, dim >> (qubit + 1), 2, low)
+    c = np.cos(np.multiply(theta, 0.5))
+    s = np.sin(np.multiply(theta, 0.5))
+    if np.ndim(c):
+        c = c[:, None, None]
+        s = s[:, None, None]
+    a0 = view[:, :, 0, :].copy()
+    a1 = view[:, :, 1, :]
+    view[:, :, 0, :] = c * a0 - s * a1
+    view[:, :, 1, :] *= c
+    view[:, :, 1, :] += s * a0
+
+
+def _row_cz(amps: np.ndarray, a: int, b: int) -> None:
+    batch, dim = amps.shape
+    lo, hi = (a, b) if a < b else (b, a)
+    view = amps.reshape(batch, dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view[:, :, 1, :, 1, :] *= -1.0
+
+
+def _row_cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -> np.ndarray:
+    """One light-cone group's base circuit and shifts at ``slots``, (1 + 2K,
+    rows, width), on row-major buffers of (1 + 2K) slot-major blocks."""
+    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
+    order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
+    opens = {gate_of[j] for j in slots}
+    blocks = 1 + 2 * len(slots)
+    rows = angles.shape[0]
+    out = np.empty((blocks, rows, width))
+    # the chunk of z_from_angles: its readout rows per call, and so the
+    # BLAS kernel that sums them, are the same
+    per_chunk = max(1, (32 * 1024) // (blocks << width))
+    for lo in range(0, rows, per_chunk):
+        chunk = angles[lo : lo + per_chunk]
+        s = chunk.shape[0]
+        amps = np.zeros((blocks * s, 1 << width))
+        amps[:, 0] = 1.0
+        live = s
+        for g, op in enumerate(ops):
+            if op.kind is GateKind.CZ:
+                _row_cz(amps[:live], op.control, op.target)
                 continue
             column = chunk[:, op.angle_slot]
             theta = np.tile(column, live // s)
@@ -187,12 +253,31 @@ def full_width_sweep(ansatz, angles, slots=()):
                 amps[live : live + 2 * s].reshape(2, s, -1)[:] = amps[:s]
                 theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
                 live += 2 * s
-            ry_rows(amps[:live], op.target, theta)
-        out[:, lo : lo + s] = z_expectations_rows(amps).reshape(blocks, s, n)
+            _row_ry(amps[:live], op.target, theta)
+        out[:, lo : lo + s] = ((amps * amps) @ z_signs(width)).reshape(blocks, s, width)
     rank = np.argsort(order)
-    z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
-    z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
-    return out[0], z_plus, z_minus
+    return out[np.concatenate([[0], np.stack([1 + 2 * rank, 2 + 2 * rank], axis=1).ravel()])]
+
+
+def per_cone_sweep(ansatz, angles, slots=None):
+    """`z_from_angles` one light-cone group at a time, each group's states
+    the rows of a row-major buffer: the base circuit and, with ``slots``,
+    its +-pi/2 shifts, returned the same way."""
+    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
+    shifted = [] if slots is None else [int(j) for j in slots]
+    rows, n = angles.shape[0], ansatz.n_qubits
+    out = np.empty((1 + 2 * len(shifted), rows, n))
+    for qubits, ops, readout, local in light_cones(n, ansatz.n_layers):
+        in_cone = {op.angle_slot for op in ops if op.kind is GateKind.RY}
+        inside = [i for i, j in enumerate(shifted) if j in in_cone]
+        part = _row_cone_staircase(len(qubits), ops, angles,
+                                   [shifted[i] for i in inside])[:, :, local]
+        out[:, :, readout] = part[0]
+        blocks = [0] + [b for i in inside for b in (1 + 2 * i, 2 + 2 * i)]
+        out[np.ix_(blocks, range(rows), readout)] = part
+    if slots is None:
+        return out[0]
+    return out[0], out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):

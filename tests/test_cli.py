@@ -235,6 +235,18 @@ NON_FINITE_FLAGS = [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
                     ("--weight-decay", "inf")]
 
 
+def test_train_rejects_a_register_over_the_amplitude_limit(dataset, tmp_path, capsys):
+    out = tmp_path / "big"
+    code = run_cli(["train", "--data", str(dataset), "--model", "qnn", "--qubits", "30",
+                    "--layers", "8"], out)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "30 qubits at 8 layers" in err["message"]
+    assert "MAX_CONE_AMPLITUDES" in err["message"]
+    assert not (out / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", NON_FINITE_FLAGS)
 def test_train_rejects_non_finite_optimizer_flag(dataset, tmp_path, capsys, flag, value):
     out = tmp_path / "train"
@@ -310,6 +322,23 @@ class TestEval:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
         assert f"{section}.{field}" in err["message"]
+
+    def test_checkpoint_over_the_amplitude_limit_error_document(self, dataset, tmp_path,
+                                                               capsys):
+        # 30 qubits at 8 layers is one group of 2^30 amplitudes, 8 GiB a state
+        doc = checkpoint_dict(DressedQnnModel.create(FeatureNormalizer.identity(),
+                                                     StdAnsatz(30, 1)))
+        doc["config"]["n_layers"] = 8
+        doc["params"]["theta"] = [0.0] * (2 * 29 * 8)
+        path = tmp_path / "qnn.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(["eval", "--data", str(dataset), "--checkpoint", str(path)],
+                       tmp_path / "e")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert "config.n_qubits=30 and config.n_layers=8" in err["message"]
+        assert "MAX_CONE_AMPLITUDES" in err["message"]
 
     @pytest.mark.parametrize("command", ["eval", "transfer"])
     def test_dnn_checkpoint_of_other_dimensions_error_document(self, dataset, tmp_path,
@@ -417,6 +446,21 @@ class TestHarness:
         assert "transfer" in facts["models"]["qnn"]
         assert (out / "curve_dnn" / "curve.csv").exists()
         assert (out / "eval_qnn" / "confusion.csv").exists()
+
+    def test_numpy_build_is_recorded_in_metadata_only(self, tmp_path):
+        # the numpy version and SIMD features a run had go into every
+        # metadata.json, and into no facts, checkpoint or summary
+        out = tmp_path / "figs"
+        assert run_cli(["make-figures", "--quick", "--seed", "11"], out) == 0
+        metas = sorted(out.rglob("*metadata.json"))
+        assert len(metas) == 11
+        for path in metas:
+            doc = json.loads(path.read_text())
+            assert doc["numpy_version"] == np.__version__, path
+            assert doc["numpy_simd"] and all(isinstance(f, str) for f in doc["numpy_simd"])
+        for path in out.rglob("*.json"):
+            if path not in metas:
+                assert "numpy" not in path.read_text(), path
 
     def test_make_figures_parses_the_dataset_once(self, tmp_path, monkeypatch):
         import qpose.data

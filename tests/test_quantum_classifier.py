@@ -1,5 +1,6 @@
 """Dressed QNN: ansatz layout, forward, parameter-shift gradients and the
-shared-prefix sweep that evaluates them light cone by light cone."""
+shared-prefix sweep that evaluates them light cone by light cone, with
+congruent cones stacked."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     central_difference,
     expectation_z,
     full_width_sweep,
+    per_cone_sweep,
     run_circuit,
     simulate_dense,
     z_expectation_dense,
@@ -20,8 +22,10 @@ from qpose.data import FeatureNormalizer
 from qpose import quantum_classifier
 from qpose.neural import softmax_cross_entropy
 from qpose.quantum_classifier import (
+    MAX_CONE_AMPLITUDES,
     DressedQnnModel,
     StdAnsatz,
+    cone_stacks,
     evaluation_count,
     light_cones,
     reset_evaluation_count,
@@ -78,6 +82,21 @@ class TestStdAnsatz:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             StdAnsatz(1, 1)
+
+    @pytest.mark.parametrize("n, layers, widest", [(30, 1, 4), (17, 4, 16), (10, 3, 10)])
+    def test_registers_within_the_amplitude_limit(self, n, layers, widest):
+        StdAnsatz(n, layers)
+        assert max(len(group[0]) for group in light_cones(n, layers)) == widest
+        assert 1 << widest <= MAX_CONE_AMPLITUDES
+
+    @pytest.mark.parametrize("n, layers, widest", [(30, 8, 30), (17, 5, 17)])
+    def test_widest_group_over_the_amplitude_limit_rejected(self, n, layers, widest):
+        with pytest.raises(ValueError, match=rf"group of {widest} qubits .*MAX_CONE_AMPLITUDES"):
+            StdAnsatz(n, layers)
+
+    def test_register_wider_than_the_limit_rejected_before_its_gates(self):
+        with pytest.raises(ValueError, match="MAX_CONE_AMPLITUDES"):
+            StdAnsatz(MAX_CONE_AMPLITUDES + 1, 1)
 
 
 class TestForward:
@@ -150,8 +169,8 @@ class TestParamShift:
     def test_single_ry_gradient_is_minus_sin(self):
         # d<Z>/dtheta of RY(theta)|0> via two shifted evaluations
         for theta in (0.0, np.pi / 4, 1.0):
-            up = expectation_z(apply_ry(zero_states(1)[0], 0, theta + np.pi / 2), 0)
-            dn = expectation_z(apply_ry(zero_states(1)[0], 0, theta - np.pi / 2), 0)
+            up = expectation_z(apply_ry(zero_states(1)[:, 0], 0, theta + np.pi / 2), 0)
+            dn = expectation_z(apply_ry(zero_states(1)[:, 0], 0, theta - np.pi / 2), 0)
             assert abs((up - dn) / 2 - (-np.sin(theta))) < 1e-12
 
     def test_matches_finite_differences_per_coordinate(self):
@@ -195,6 +214,20 @@ class TestParamShift:
         _, grads = m.loss_and_grad(np.ones((1, 4)), np.array([3]))
         for name in ("theta", "in.w", "in.b"):
             assert (grads[name] == 0.0).all(), name
+
+    def test_kernel_calls_of_a_full_gradient_sample(self, monkeypatch):
+        # n=10, L=1: the four congruent middle cones run as one staircase,
+        # so the six cones take 3 staircases of 8 + 3 + 3 RY and 3 + 1 + 1 CZ
+        # (38 RY and 14 CZ one cone at a time); readout stays one per cone
+        calls = {}
+        for name in ("ry_rows", "cz_rows", "z_expectations_rows"):
+            def counting(*args, kernel=getattr(quantum_classifier, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return kernel(*args)
+            monkeypatch.setattr(quantum_classifier, name, counting)
+        m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1), seed=1)
+        m.loss_and_grad(np.ones((1, 36)), np.array([0]))
+        assert calls == {"ry_rows": 14, "cz_rows": 5, "z_expectations_rows": 6}
 
     def test_cost_contract(self):
         # one sample's full gradient: 1 + 2K circuits, K = 2(n-1)L + n slots
@@ -268,6 +301,85 @@ class TestStaircaseSweep:
         m.loss_and_grad(x, np.array([0, 4, 7]), needed=needed)
         assert evaluation_count() == 3 * per_sample
         reset_evaluation_count()
+
+
+def chunk_edge_rows(ansatz, slots):
+    """A row count that puts one row past a full chunk of every group."""
+    shifted = set(range(ansatz.n_slots) if slots is None else slots)
+    chunks = []
+    for qubits, ops, _, _ in light_cones(ansatz.n_qubits, ansatz.n_layers):
+        blocks = 1 + 2 * sum(op.angle_slot in shifted for op in ops if op.kind is GateKind.RY)
+        chunks.append(max(1, quantum_classifier._CHUNK_AMPLITUDES // (blocks << len(qubits))))
+    return max(chunks) + 1
+
+
+class TestStackedSweep:
+    """The basis-major sweep with congruent cones stacked against the same
+    light cones run one at a time on row-major buffers, bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(ansatz, rows, slots):
+        got = z_from_angles(ansatz, rows, slots=slots)
+        want = per_cone_sweep(ansatz, rows, slots)
+        if slots is None:
+            got, want = (got,), (want,)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @given(
+        n=st.integers(2, 10),
+        layers=st.integers(1, 3),
+        count=st.sampled_from(["0", "1", "17", "edge"]),
+        which=st.sampled_from(["none", "all", "theta", "subset"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_cone_sweep(self, n, layers, count, which, data):
+        ansatz = StdAnsatz(n, layers)
+        slots = {
+            "none": None,
+            "all": list(range(ansatz.n_slots)),
+            "theta": list(range(n, ansatz.n_slots)),
+            "subset": data.draw(st.lists(st.integers(0, ansatz.n_slots - 1), unique=True),
+                                label="subset"),
+        }[which]
+        rows = chunk_edge_rows(ansatz, slots) if count == "edge" else int(count)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        self.assert_bit_identical(ansatz, rng.uniform(-np.pi, np.pi, (rows, ansatz.n_slots)),
+                                  slots)
+
+    @pytest.mark.parametrize("rows, slots", [
+        (1, None),        # four cones a staircase, each read out as one row
+        (700, None),      # two middle cones a staircase
+        (1000, "theta"),  # one cone a staircase, chunks of 455 rows
+        (2049, None),     # a lone row in the last chunk: BLAS sums it as a vector
+        (513, None),
+        (6, "all"),
+    ])
+    def test_bit_identical_at_the_default_size(self, rows, slots):
+        ansatz = StdAnsatz(10, 1)
+        slots = {None: None, "all": range(ansatz.n_slots),
+                 "theta": range(10, ansatz.n_slots)}[slots]
+        rng = np.random.default_rng(rows)
+        self.assert_bit_identical(ansatz, rng.uniform(-np.pi, np.pi, (rows, ansatz.n_slots)),
+                                  slots)
+
+    @pytest.mark.parametrize("n, layers, sizes", [(10, 1, [1, 4, 1]), (10, 3, [1]),
+                                                  (8, 1, [1, 3, 1]), (9, 1, [1, 3, 1])])
+    def test_congruent_cones_stack(self, n, layers, sizes):
+        stacks = cone_stacks(n, layers)
+        assert [len(table) for _, _, _, table, _ in stacks] == sizes
+        groups = {readout: (qubits, ops) for qubits, ops, readout, _ in light_cones(n, layers)}
+        for width, ops, local, table, readout in stacks:
+            for slots, qubits_out in zip(table, readout):
+                qubits, group_ops = groups[tuple(qubits_out)]
+                assert len(qubits) == width
+                assert [qubits[i] for i in local] == list(qubits_out)
+                ry_slots = [op.angle_slot for op in group_ops if op.kind is GateKind.RY]
+                assert ry_slots == list(slots)
+                assert [(op.kind, op.target, op.control) for op in group_ops] == \
+                    [(op.kind, op.target, op.control) for op in ops]
 
 
 def forward_reach(ops, g):

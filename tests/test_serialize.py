@@ -260,3 +260,5 @@ class TestRunMetadata:
         }
         assert doc["metrics"]["accuracy"] == 0.5
         assert len(doc["dataset_sha256"]) == 64
+        assert doc["numpy_version"] == np.__version__
+        assert all(isinstance(feature, str) for feature in doc["numpy_simd"])

@@ -1,5 +1,6 @@
-"""Row kernels against the dense Kronecker-product oracle, through the
-single-state helpers and the gate loop in `oracles`."""
+"""Gate kernels against the dense Kronecker-product oracle, through the
+single-state helpers and the gate loop in `oracles`, and their basis-major
+(2^n, batch) layout: one state per column."""
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def random_state(rng, n_qubits):
 
 
 def zero(n_qubits):
-    return zero_states(n_qubits)[0]
+    return zero_states(n_qubits)[:, 0]
 
 
 class TestGateOpValidation:
@@ -172,6 +173,11 @@ class TestRunCircuit:
 
 
 class TestBatchedRowKernels:
+    def test_zero_states_are_columns(self):
+        amps = zero_states(2, batch=3)
+        assert amps.shape == (4, 3)
+        np.testing.assert_array_equal(amps, [[1, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
     def test_ry_rows_matches_single(self):
         rng = np.random.default_rng(31)
         thetas = rng.uniform(-np.pi, np.pi, 5)
@@ -179,14 +185,29 @@ class TestBatchedRowKernels:
         ry_rows(amps, 1, thetas)
         for i, theta in enumerate(thetas):
             expected = apply_ry(zero(3), 1, theta)
-            np.testing.assert_allclose(amps[i], expected, atol=1e-12)
+            np.testing.assert_allclose(amps[:, i], expected, atol=1e-12)
 
     def test_cz_rows_matches_single(self):
         rng = np.random.default_rng(32)
-        amps = rng.normal(size=(4, 8))
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        rows = amps.copy()
-        cz_rows(rows, 0, 2)
+        amps = rng.normal(size=(8, 4))
+        amps /= np.linalg.norm(amps, axis=0, keepdims=True)
+        states = amps.copy()
+        cz_rows(states, 0, 2)
         for i in range(4):
-            expected = apply_cz(amps[i], 0, 2)
-            np.testing.assert_allclose(rows[i], expected, atol=1e-12)
+            expected = apply_cz(amps[:, i], 0, 2)
+            np.testing.assert_allclose(states[:, i], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_kernels_on_a_leading_column_slice(self, qubit):
+        # the sweep runs a gate on its live states only: a column slice of
+        # the buffer, which the kernels change in place, columns past it not
+        rng = np.random.default_rng(33 + qubit)
+        amps = rng.normal(size=(8, 7))
+        thetas = rng.uniform(-np.pi, np.pi, 4)
+        before = amps.copy()
+        ry_rows(amps[:, :4], qubit, thetas)
+        cz_rows(amps[:, :4], qubit, (qubit + 1) % 3)
+        np.testing.assert_array_equal(amps[:, 4:], before[:, 4:])
+        for i, theta in enumerate(thetas):
+            expected = apply_cz(apply_ry(before[:, i], qubit, theta), qubit, (qubit + 1) % 3)
+            np.testing.assert_array_equal(amps[:, i], expected)
