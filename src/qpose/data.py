@@ -18,10 +18,14 @@ randomness comes from independent PCG64 child streams spawned from one seed
 (anchors / source noise / target shift+noise), so e.g. changing the target
 sample count never perturbs the source samples.
 
-`write_csv` renders every feature with `repr(float)`. `load_csv` parses a
-row's 36 features with one numpy conversion, which accepts the spellings
-`float()` accepts, and names the first bad line. `dataset_sha256` is the
-sha256 of a dataset file's bytes, the digest every run record carries.
+`write_csv` renders every feature with `repr(float)`. `load_csv` parses
+CSV_BLOCK_ROWS lines at a time with one `np.loadtxt` call into structured
+rows and checks their columns at once. A block that loadtxt refuses, or
+that fails a check, is parsed again a row at a time, each value as
+`float()` or `int()` reads it, which names the first bad line; so the file
+loads to the same samples, or fails with the same error, either way.
+`dataset_sha256` is the sha256 of a dataset file's bytes, the digest every
+run record carries.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 from enum import Enum
 from hashlib import sha256
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +284,10 @@ def generate_synthetic(n_source: int, n_target: int, shift: ShiftSpec,
 CSV_HEADER = "label,domain,session," + ",".join(f"b{i}" for i in range(N_FEATURES))
 CSV_BLOCK_ROWS = 512
 HASH_BLOCK_BYTES = 1 << 20
+# One CSV row as np.loadtxt reads it. The domain is read 7 characters wide,
+# so a longer value is cut to one that is no domain, never to "source".
+_CSV_ROW = np.dtype([("label", np.int64), ("domain", "U7"), ("session", np.int64),
+                     ("features", np.float64, (N_FEATURES,))])
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -306,44 +315,122 @@ def dataset_sha256(path) -> str:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV a line at a time into one feature buffer that
-    grows in place (by a quarter, at least CSV_BLOCK_ROWS rows) and is
-    trimmed at the end, so the features are never held twice; a bad row
-    raises CsvFormatError naming its line."""
+    """Read a dataset CSV a block of CSV_BLOCK_ROWS lines at a time
+    (`_read_block`) into four column buffers that grow in place (by a
+    quarter, at least CSV_BLOCK_ROWS rows) and are trimmed at the end, so
+    the features are never held twice; a bad row raises CsvFormatError
+    naming its line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    features, labels, domain, session = np.empty((0, N_FEATURES)), [], [], []
+    columns = [np.empty((0, N_FEATURES)), np.empty(0, np.int64), np.empty(0, "<U6"),
+               np.empty(0, np.int64)]
+    n, lineno = 0, 2
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
             raise CsvFormatError(f"line 1: bad header, expected `{CSV_HEADER}`")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split(",")
-            n = len(labels)
-            if n == len(features):  # no view of the buffer is alive here
-                features.resize((n + max(CSV_BLOCK_ROWS, n // 4), N_FEATURES), refcheck=False)
-            try:
-                if len(fields) != 3 + N_FEATURES:
-                    raise ValueError(f"expected {3 + N_FEATURES} fields, got {len(fields)}")
-                label, row_domain, row_session = (int(fields[0]), Domain(fields[1]).value,
-                                                  int(fields[2]))
-                features[n] = fields[3:]  # numpy parses each string as float() does
-                if not np.isfinite(features[n]).all():
-                    raise ValueError("features must be finite")
-                if not 0 <= label < N_CLASSES:
-                    raise ValueError(f"label {label} outside 0..{N_CLASSES - 1}")
-                if not -(2**63) <= row_session < 2**63:
-                    raise ValueError(f"session {row_session} outside the int64 range")
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from exc
-            labels.append(label)
-            domain.append(row_domain)
-            session.append(row_session)
-    features.resize((len(labels), N_FEATURES), refcheck=False)
-    return Dataset(features, labels, domain, session)
+        while True:
+            read, n = _read_block(fh, lineno, columns, n)
+            if not read:
+                break
+            lineno += read
+    for column in columns:
+        column.resize((n, *column.shape[1:]), refcheck=False)
+    return Dataset(*columns)
+
+
+def _read_block(fh, lineno: int, columns: list[np.ndarray], n: int) -> tuple[int, int]:
+    """Parse the next CSV_BLOCK_ROWS lines of ``fh``, the first of them line
+    ``lineno``, into ``columns`` after their first ``n`` rows; returns the
+    lines read and the rows now filled. One `np.loadtxt` call streams the
+    block's rows from the file (`_loadtxt_block`). A block that loadtxt
+    refuses, or that fails a column check, is read again and parsed a row
+    at a time (`_rows_block`), which raises the error for the first bad
+    line, or returns the block when its rows hold spellings that only
+    `float()` and `int()` accept (`1_0`, non-ASCII digits)."""
+    start, tally = fh.tell(), [0, 0, 0]
+    parts = _loadtxt_block(fh, tally)
+    if parts is None:
+        fh.seek(start)
+        lines = list(islice(iter(fh.readline, ""), CSV_BLOCK_ROWS))
+        parts, tally[0] = _rows_block(lines, lineno), len(lines)
+    k = len(parts[0])
+    if n + k > len(columns[0]):
+        for column in columns:
+            column.resize((n + max(CSV_BLOCK_ROWS, n // 4), *column.shape[1:]), refcheck=False)
+    for column, part in zip(columns, parts):
+        column[n:n + k] = part  # a copy: the block goes when this returns
+    return tally[0], n + k
+
+
+def _block_rows(fh, tally: list[int]):
+    """The rows among the next CSV_BLOCK_ROWS lines of ``fh``, one line at a
+    time, blank lines skipped. ``tally`` counts the lines read, the rows
+    and the rows holding a character loadtxt reads otherwise than the row
+    parse: NUL, which a numpy string drops at its end ("source\\0" would
+    read as "source"), and the information separators U+001C..U+001F,
+    which loadtxt strips around a number and `float()` and `int()` refuse."""
+    for line in islice(iter(fh.readline, ""), CSV_BLOCK_ROWS):
+        tally[0] += 1
+        if line != "\n":
+            tally[1] += 1
+            tally[2] += ("\0" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+                         or "\x1f" in line)
+            yield line
+
+
+def _loadtxt_block(fh, tally: list[int]):
+    """The next block's (features, labels, domain, session) from one
+    `np.loadtxt` call on its rows (`_block_rows`), or None when loadtxt
+    refuses a row, when a row holds a character counted in ``tally[2]`` or
+    when a column fails its check (finite features, labels in 0..7, known
+    domains)."""
+    rows = _block_rows(fh, tally)
+    first = next(rows, None)
+    if first is None:  # only blank lines, or none: loadtxt would warn
+        return np.empty((0, N_FEATURES)), (), (), ()
+    try:
+        block = np.loadtxt(chain([first], rows), dtype=_CSV_ROW, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    features, labels, domain = block["features"], block["label"], block["domain"]
+    if (tally[2] or len(block) != tally[1] or not np.isfinite(features).all()
+            or not 0 <= labels.min() <= labels.max() < N_CLASSES
+            or not ((domain == Domain.SOURCE.value) | (domain == Domain.TARGET.value)).all()):
+        return None
+    return features, labels, domain, block["session"]
+
+
+def _rows_block(lines: list[str], lineno: int):
+    """Parse a block a row at a time, each field as `float()` or `int()`
+    reads it, skipping blank lines; ``lineno`` is the block's first line.
+    A bad row raises CsvFormatError naming its line."""
+    features = np.empty((len(lines) - lines.count("\n"), N_FEATURES))
+    labels, domain, session = [], [], []
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != 3 + N_FEATURES:
+                raise ValueError(f"expected {3 + N_FEATURES} fields, got {len(fields)}")
+            label, row_domain, row_session = (int(fields[0]), Domain(fields[1]).value,
+                                              int(fields[2]))
+            features[len(labels)] = fields[3:]  # numpy parses each string as float() does
+            if not np.isfinite(features[len(labels)]).all():
+                raise ValueError("features must be finite")
+            if not 0 <= label < N_CLASSES:
+                raise ValueError(f"label {label} outside 0..{N_CLASSES - 1}")
+            if not -(2**63) <= row_session < 2**63:
+                raise ValueError(f"session {row_session} outside the int64 range")
+        except ValueError as exc:
+            raise CsvFormatError(f"line {lineno}: {exc}") from exc
+        labels.append(label)
+        domain.append(row_domain)
+        session.append(row_session)
+    return features, labels, domain, session
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,9 @@ class StdAnsatz:
         if self.n_layers < 1:
             raise ValueError("need at least 1 layer")
         limit = f"the limit of MAX_CONE_AMPLITUDES = 2^{MAX_CONE_AMPLITUDES.bit_length() - 1}"
-        # the cone walk costs O(n^2 L); a register wider than the limit has
-        # amplitudes is refused before its gate list is built
         if self.n_qubits > MAX_CONE_AMPLITUDES:
             raise ValueError(f"{self.n_qubits} qubits is over {limit}")
-        widest = max(len(group[0]) for group in light_cones(self.n_qubits, self.n_layers))
+        widest = max(hi + 1 - lo for (lo, hi), _ in _cone_groups(self.n_qubits, self.n_layers))
         if 1 << widest > MAX_CONE_AMPLITUDES:
             raise ValueError(
                 f"{self.n_qubits} qubits at {self.n_layers} layers need a light-cone group of"
@@ -196,43 +194,75 @@ def z_from_angles(ansatz: StdAnsatz, angles: np.ndarray, slots=None):
 
 
 @lru_cache(maxsize=None)
+def _cone_groups(n_qubits: int, n_layers: int):
+    """The readout qubits grouped by backward light cone: a tuple of
+    ``((lo, hi), readout)``, the cone being qubits lo..hi, in the order of
+    each group's first readout qubit. If the groups together hold at least
+    2^n amplitudes, one group of every qubit takes their place.
+
+    Walking back through a block of the circuit's disjoint nearest-neighbour
+    pairs, a cone lo..hi gains at most lo's and hi's pair partners, so every
+    cone is an interval and one step per block finds it, for all readout
+    qubits at once."""
+    lo = np.arange(n_qubits)
+    hi = lo.copy()
+    for _ in range(n_layers):
+        for start in (1, 0):  # block B, then block A, walking back
+            lo -= (lo > start) & ((lo - start) % 2 == 1)
+            hi += (hi >= start) & ((hi - start) % 2 == 0) & (hi < n_qubits - 1)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for q, cone in enumerate(zip(lo.tolist(), hi.tolist())):
+        groups.setdefault(cone, []).append(q)
+    if sum(1 << (b + 1 - a) for a, b in groups) >= 1 << n_qubits:
+        return (((0, n_qubits - 1), tuple(range(n_qubits))),)
+    return tuple((cone, tuple(readout)) for cone, readout in groups.items())
+
+
+def _cone_gates(n_qubits: int, n_layers: int, lo: int, hi: int) -> list[int]:
+    """Indices into the dressed gate list of the gates in the backward light
+    cone of readout qubits lo..hi, in circuit order. Walking back through a
+    block, a pair's CZ joins when it touches the cone, and each of its RY
+    gates when the gate's qubit is already in it; only the pairs that touch
+    the cone are visited."""
+    blocks = []
+    for layer in reversed(range(n_layers)):
+        for start in (1, 0):
+            first = n_qubits + 3 * (layer * (n_qubits - 1) + start * (n_qubits // 2))
+            low = max(start, lo - 1)
+            pairs = range(low + (low - start) % 2, min(hi, n_qubits - 2) + 1, 2)
+            gates = []
+            for a in pairs:  # the pair's CZ, then RY on a, then RY on a + 1
+                g = first + 3 * ((a - start) // 2)
+                gates += [g] + [g + 1] * (a >= lo) + [g + 2] * (a + 1 <= hi)
+            blocks.append(gates)
+            if pairs:
+                lo, hi = min(lo, pairs[0]), max(hi, pairs[-1] + 1)
+    return list(range(lo, hi + 1)) + [g for gates in reversed(blocks) for g in gates]
+
+
+@lru_cache(maxsize=None)
 def light_cones(n_qubits: int, n_layers: int):
     """Readout groups of the dressed circuit and the gates each one needs.
 
     <Z_q> depends only on the gates in qubit q's backward light cone: walking
     the gates backwards from q, a gate joins if it touches a live qubit, and
     a CZ makes both of its qubits live. Readout qubits with the same cone
-    qubits form a group that runs on those qubits alone. Returns a tuple of
-    ``(qubits, ops, readout, local)``: ``qubits`` are the cone's qubits in
-    ascending order, ``ops`` the group's gates re-indexed to local qubits
-    0..w-1, ``readout`` the group's readout qubits and ``local`` their
-    local indices. If the groups together hold at least 2^n amplitudes, one
-    group of every qubit and gate takes their place.
+    qubits form a group that runs on those qubits alone (`_cone_groups`).
+    Returns a tuple of ``(qubits, ops, readout, local)``: ``qubits`` are the
+    cone's qubits in ascending order, ``ops`` the group's gates
+    (`_cone_gates`) re-indexed to local qubits 0..w-1, ``readout`` the
+    group's readout qubits and ``local`` their local indices.
     """
     ops = _dressed_gates(n_qubits, n_layers)
-
-    def cone(readout):
-        live, gates = set(readout), []
-        for g in reversed(range(len(ops))):
-            touched = {ops[g].target, ops[g].control} - {None}
-            if touched & live:
-                live |= touched
-                gates.append(g)
-        return frozenset(live), gates[::-1]
-
-    groups: dict[frozenset, list[int]] = {}
-    for q in range(n_qubits):
-        groups.setdefault(cone([q])[0], []).append(q)
-    if sum(1 << len(qubits) for qubits in groups) >= 1 << n_qubits:
-        groups = {frozenset(range(n_qubits)): list(range(n_qubits))}
     result = []
-    for qubits, readout in groups.items():
-        index = {q: i for i, q in enumerate(sorted(qubits))}
+    for (lo, hi), readout in _cone_groups(n_qubits, n_layers):
         local_ops = tuple(
-            replace(ops[g], target=index[ops[g].target],
-                    control=None if ops[g].control is None else index[ops[g].control])
-            for g in cone(readout)[1])
-        result.append((tuple(index), local_ops, tuple(readout), tuple(index[q] for q in readout)))
+            replace(ops[g], target=ops[g].target - lo,
+                    control=None if ops[g].control is None else ops[g].control - lo)
+            # a group's readout qubits are consecutive: cones grow with q
+            for g in _cone_gates(n_qubits, n_layers, readout[0], readout[-1]))
+        result.append((tuple(range(lo, hi + 1)), local_ops, readout,
+                       tuple(q - lo for q in readout)))
     return tuple(result)
 
 

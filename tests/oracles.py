@@ -19,10 +19,10 @@ a time on row-major (states, 2^w) buffers, with its own row kernels: the
 form that the basis-major, stacked sweep of `z_from_angles` must match bit
 for bit.
 
-`loop_binary_roc`, `csv_text_by_value` and `loop_stratified_subset` are
-the loop forms of the array-at-a-time ROC sweep, CSV rendering and subset
-draw in the package: one tie group, one float and one row at a time, with
-Python integers and lists.
+`loop_binary_roc`, `csv_text_by_value`, `per_row_load_csv` and
+`loop_stratified_subset` are the loop forms of the array-at-a-time ROC
+sweep, CSV rendering, CSV parse and subset draw in the package: one tie
+group, one float and one row at a time, with Python integers and lists.
 
 `logaddexp_mish` and `logaddexp_mish_grad` form softplus with
 `np.logaddexp`, which numpy evaluates through scalar libm calls; the
@@ -32,13 +32,15 @@ by a few ulp.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
 
-from qpose.data import CSV_HEADER, N_CLASSES, apportion
-from qpose.quantum_classifier import light_cones
+from qpose.data import (CSV_BLOCK_ROWS, CSV_HEADER, N_CLASSES, N_FEATURES, CsvFormatError,
+                        Dataset, Domain, apportion)
+from qpose.quantum_classifier import _dressed_gates, light_cones
 from qpose.statevector import (
     GateKind,
     GateOp,
@@ -280,6 +282,37 @@ def per_cone_sweep(ansatz, angles, slots=None):
     return out[0], out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
 
 
+def walk_light_cones(n_qubits: int, n_layers: int):
+    """`light_cones` by walking every readout qubit's backward cone over the
+    whole dressed gate list with a set of live qubits, O(n^2 L): the same
+    groups, gates, readouts and local indices, without the interval steps."""
+    ops = _dressed_gates(n_qubits, n_layers)
+
+    def cone(readout):
+        live, gates = set(readout), []
+        for g in reversed(range(len(ops))):
+            touched = {ops[g].target, ops[g].control} - {None}
+            if touched & live:
+                live |= touched
+                gates.append(g)
+        return frozenset(live), gates[::-1]
+
+    groups: dict[frozenset, list[int]] = {}
+    for q in range(n_qubits):
+        groups.setdefault(cone([q])[0], []).append(q)
+    if sum(1 << len(qubits) for qubits in groups) >= 1 << n_qubits:
+        groups = {frozenset(range(n_qubits)): list(range(n_qubits))}
+    result = []
+    for qubits, readout in groups.items():
+        index = {q: i for i, q in enumerate(sorted(qubits))}
+        local_ops = tuple(
+            replace(ops[g], target=index[ops[g].target],
+                    control=None if ops[g].control is None else index[ops[g].control])
+            for g in cone(readout)[1])
+        result.append((tuple(index), local_ops, tuple(readout), tuple(index[q] for q in readout)))
+    return tuple(result)
+
+
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):
     """(ops, params) with RY and CZ gates drawn uniformly."""
     ops = []
@@ -343,6 +376,45 @@ def csv_text_by_value(dataset) -> str:
         feats = ",".join(repr(float(v)) for v in row)
         lines.append(f"{label},{domain},{session},{feats}")
     return "\n".join(lines) + "\n"
+
+
+def per_row_load_csv(path) -> Dataset:
+    """`load_csv` a line at a time: each row's label and session through
+    `int()`, its domain through `Domain`, its features through one numpy
+    conversion of the strings (which reads them as `float()` does), into a
+    feature buffer that grows by a quarter. A bad row raises the same
+    CsvFormatError, naming the same line."""
+    features, labels, domain, session = np.empty((0, N_FEATURES)), [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
+            raise CsvFormatError(f"line 1: bad header, expected `{CSV_HEADER}`")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split(",")
+            n = len(labels)
+            if n == len(features):
+                features.resize((n + max(CSV_BLOCK_ROWS, n // 4), N_FEATURES), refcheck=False)
+            try:
+                if len(fields) != 3 + N_FEATURES:
+                    raise ValueError(f"expected {3 + N_FEATURES} fields, got {len(fields)}")
+                label, row_domain, row_session = (int(fields[0]), Domain(fields[1]).value,
+                                                  int(fields[2]))
+                features[n] = fields[3:]
+                if not np.isfinite(features[n]).all():
+                    raise ValueError("features must be finite")
+                if not 0 <= label < N_CLASSES:
+                    raise ValueError(f"label {label} outside 0..{N_CLASSES - 1}")
+                if not -(2**63) <= row_session < 2**63:
+                    raise ValueError(f"session {row_session} outside the int64 range")
+            except ValueError as exc:
+                raise CsvFormatError(f"line {lineno}: {exc}") from exc
+            labels.append(label)
+            domain.append(row_domain)
+            session.append(row_session)
+    features.resize((len(labels), N_FEATURES), refcheck=False)
+    return Dataset(features, labels, domain, session)
 
 
 def loop_stratified_subset(labels, count: int, seed: int):

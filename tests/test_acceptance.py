@@ -5,10 +5,12 @@ repeats, single-threaded) once per session and read the aggregated numbers
 from facts.json.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, z_from_angles
 from qpose.statevector import GateKind
 
 RUNTIME_BUDGET_S = 15 * 60
+# sha256 of the fixture's facts.json and checkpoints per numpy version and
+# SIMD class, written by scripts/record_fixture_digests.py
+FIXTURE_DIGESTS = Path(__file__).with_name("fixture_digests.json")
 
 
 def report(capsys, name, ok, detail=""):
@@ -40,7 +45,8 @@ def report(capsys, name, ok, detail=""):
 
 @pytest.fixture(scope="session")
 def fixture_run(tmp_path_factory):
-    """One full pipeline run on the committed fixture; returns (facts, seconds)."""
+    """One full pipeline run on the committed fixture; returns (facts,
+    seconds, output directory)."""
     out = tmp_path_factory.mktemp("acceptance")
     t0 = time.monotonic()
     proc = subprocess.run(
@@ -52,7 +58,7 @@ def fixture_run(tmp_path_factory):
     if proc.returncode != 0:
         raise RuntimeError(f"fixture pipeline failed:\n{proc.stderr[-2000:]}")
     facts = json.loads((out / "facts.json").read_text(encoding="utf-8"))
-    return facts, elapsed
+    return facts, elapsed, out
 
 
 def test_ansatz_parameter_law(capsys):
@@ -177,7 +183,7 @@ def test_transfer_freeze_is_bitwise(capsys):
 
 
 def test_fixture_in_domain_accuracy(capsys, fixture_run):
-    facts, _ = fixture_run
+    facts, _, _ = fixture_run
     dnn = facts["models"]["dnn"]["in_domain_accuracy"]
     qnn = facts["models"]["qnn"]["in_domain_accuracy"]
     report(capsys, "fixture in-domain accuracy >= 95% (DNN and QNN)",
@@ -185,7 +191,7 @@ def test_fixture_in_domain_accuracy(capsys, fixture_run):
 
 
 def test_fixture_cross_domain_band(capsys, fixture_run):
-    facts, _ = fixture_run
+    facts, _, _ = fixture_run
     ok = True
     details = []
     for name in ("dnn", "qnn"):
@@ -199,7 +205,7 @@ def test_fixture_cross_domain_band(capsys, fixture_run):
 
 
 def test_fixture_transfer_recovery(capsys, fixture_run):
-    facts, _ = fixture_run
+    facts, _, _ = fixture_run
     ok = True
     details = []
     for name in ("dnn", "qnn"):
@@ -213,9 +219,28 @@ def test_fixture_transfer_recovery(capsys, fixture_run):
 
 
 def test_fixture_runtime_budget(capsys, fixture_run):
-    _, elapsed = fixture_run
+    _, elapsed, _ = fixture_run
     report(capsys, "fixture pipeline within 15-minute budget",
            elapsed <= RUNTIME_BUDGET_S, f"{elapsed:.0f}s")
+
+
+def test_fixture_outputs_equal_the_digests_of_their_simd_class(capsys, fixture_run):
+    # numpy picks its loops by CPU feature, so "byte-identical" holds within
+    # a class: the numpy version and SIMD features the run's metadata records
+    _, _, out = fixture_run
+    meta = json.loads((out / "gen_metadata.json").read_text(encoding="utf-8"))
+    host = (meta["numpy_version"], meta["numpy_simd"])
+    record = json.loads(FIXTURE_DIGESTS.read_text(encoding="utf-8"))
+    digests = [c["sha256"] for c in record["classes"]
+               if (c["numpy_version"], c["numpy_simd"]) == host]
+    if not digests:
+        pytest.skip(f"no fixture digests recorded for numpy {host[0]} with SIMD features"
+                    f" {' '.join(host[1])}")
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests[0]}
+    moved = sorted(name for name in got if got[name] != digests[0][name])
+    report(capsys, "fixture facts.json and checkpoints equal the digests of their SIMD class",
+           not moved, f"numpy {host[0]}, {len(host[1])} SIMD features"
+           + (f"; moved: {', '.join(moved)}" if moved else ""))
 
 
 def test_deterministic_rerun_bit_identical(capsys, tmp_path):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import csv_text_by_value, loop_stratified_subset
+from oracles import csv_text_by_value, loop_stratified_subset, per_row_load_csv
 from rows import rows
+import qpose.data
 from qpose.data import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
@@ -282,6 +283,163 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
+
+
+def assert_same_load(path):
+    """`load_csv` and the per-row oracle agree on ``path``: both raise the
+    same CsvFormatError text, or both return the same bytes in every
+    column. Returns the oracle's dataset, or None when both raised."""
+    try:
+        want = per_row_load_csv(path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == str(exc)
+        return None
+    got = load_csv(path)
+    for name in ("samples", "labels", "domain", "session"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    if len(want):
+        assert got.domain.dtype == want.domain.dtype == np.dtype("<U6")
+    return want
+
+
+# Field texts: a valid value or an odd spelling, padded with characters
+# that either parser may strip as whitespace, or a short string over
+# characters that either parser treats specially.
+PADDING = st.sampled_from(["", " ", "\t", "\x00", "\x1c", "\x1f", "\x85", "\u3000", " \x1e"])
+
+
+def padded(values):
+    return st.tuples(PADDING, st.sampled_from(values), PADDING).map("".join)
+
+
+NUMBER_FIELDS = st.one_of(
+    padded(["0", "7", "+1", "-0", "-1e-300", "5."]),
+    padded(["8", "-1", "1.0", "1_0", "١", "nan", "INF", "1e500", "0x1p3", str(-2**63),
+            str(2**63), ""]),
+    st.text("0123456789+-.eE_ \x00\x1c١nafitNIx,\r", max_size=6))
+DOMAIN_FIELDS = st.one_of(
+    padded(["source", "target"]),
+    padded(["targetx", "sourcesource", "Source", ""]),
+    st.text("sourcetag \x00\x1c,\r", max_size=8))
+FIELD_EDITS = st.one_of(st.tuples(st.just(1), DOMAIN_FIELDS),
+                        st.tuples(st.sampled_from([0, 2, 3, 20, 2 + N_FEATURES]), NUMBER_FIELDS))
+
+# 520 canonical rows of varied values, past the first block, split into fields
+GOOD_ROWS = [line.split(",") for line in csv_text_by_value(
+    generate_synthetic(260, 260, ShiftSpec(seed=1))).splitlines()[1:]]
+
+
+def csv_bytes(rows, newline="\n", final_newline=True):
+    """The header and ``rows`` (lists of fields, or whole lines as str)."""
+    lines = [CSV_HEADER] + [row if isinstance(row, str) else ",".join(row) for row in rows]
+    return (newline.join(lines) + (newline if final_newline else "")).encode("utf-8")
+
+
+def loadtxt_rows(*lines):
+    """The structured rows `np.loadtxt` gives the block parse for ``lines``."""
+    return np.loadtxt(list(lines), dtype=qpose.data._CSV_ROW, delimiter=",", comments=None,
+                      quotechar=None, ndmin=1)
+
+
+class TestBlockParse:
+    """The block parse (`np.loadtxt` per CSV_BLOCK_ROWS lines) against the
+    per-row oracle: same accept or reject, same error text and line, same
+    bytes in every column."""
+
+    @pytest.mark.parametrize("column, text", [
+        (7, "1_0"), (7, " 1.5 "), (7, "nan"), (7, "INF"), (7, "1e500"), (7, "0x1p3"),
+        (7, "١٢"), (7, "1\x1c"), (7, "\x1f2"), (7, "1\x85"), (7, "　1"), (7, "1\x00"),
+        (0, "1.0"), (0, "+1"), (0, "1_0"), (0, "١"), (0, "1\x1c"),
+        (2, "1.0"), (2, "+1"), (2, str(-2**63)), (2, str(2**63)), (2, str(-2**63 - 1)),
+        (1, " source"), (1, "targetx"), (1, "sourcesource"), (1, "source\x00"),
+        (1, "target\x1c"), (1, ""),
+    ])
+    def test_spelling_agrees_with_per_row_parse(self, tmp_path, column, text):
+        # in the first row, and at lines 511, 512 and 513 of a block of
+        # CSV_BLOCK_ROWS lines (line 1 of the file is the header)
+        path = tmp_path / "probe.csv"
+        for at in (0, CSV_BLOCK_ROWS - 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS):
+            rows = [list(row) for row in GOOD_ROWS]
+            rows[at][column] = text
+            path.write_bytes(csv_bytes(rows))
+            assert_same_load(path)
+
+    @pytest.mark.parametrize("line", ["", " ", "\t", "  \t  "])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_blank_and_whitespace_lines(self, tmp_path, line, newline):
+        path = tmp_path / "probe.csv"
+        for at in (0, CSV_BLOCK_ROWS - 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS):
+            rows = [list(row) for row in GOOD_ROWS]
+            rows.insert(at, line)
+            path.write_bytes(csv_bytes(rows, newline))
+            assert_same_load(path)
+
+    def test_crlf_file_loads_the_lf_samples(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(csv_bytes(GOOD_ROWS))
+        crlf.write_bytes(csv_bytes(GOOD_ROWS, "\r\n", final_newline=False))
+        want, got = assert_same_load(lf), assert_same_load(crlf)
+        for name in ("samples", "labels", "domain", "session"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_canonical_file_never_reaches_the_row_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(csv_bytes(GOOD_ROWS[:2] + ["", ""] + GOOD_ROWS[2:]))
+        want = per_row_load_csv(path)
+
+        def row_parse(lines, lineno):
+            raise AssertionError(f"block at line {lineno} parsed a row at a time")
+
+        monkeypatch.setattr(qpose.data, "_rows_block", row_parse)
+        assert load_csv(path).samples.tobytes() == want.samples.tobytes()
+
+    def test_spellings_only_float_accepts_load_through_the_row_parse(self, tmp_path):
+        rows = [list(row) for row in GOOD_ROWS]
+        rows[CSV_BLOCK_ROWS][7], rows[3][0] = "1_0", "١"
+        path = tmp_path / "ds.csv"
+        path.write_bytes(csv_bytes(rows))
+        ds = assert_same_load(path)
+        assert ds.samples[CSV_BLOCK_ROWS, 4] == 10.0 and ds.labels[3] == 1
+
+    def test_loadtxt_behaviour_the_block_parse_relies_on(self):
+        def line(label="0", domain="source", feature="0.5"):
+            return f"{label},{domain},1,{feature}," + ",".join(["0.0"] * (N_FEATURES - 1)) + "\n"
+
+        # refusals that send a block to the row parse
+        for bad in (line(label="1.0"), line(feature="1_0"), line(feature="١٢"),
+                    line(label=str(2**63))):
+            with pytest.raises(ValueError):
+                loadtxt_rows(bad)
+        # CRLF endings, blank lines and spaces around a number read as LF does
+        rows = loadtxt_rows(line().replace("\n", "\r\n"), "\n", line(feature=" 1.5 "))
+        assert rows["features"][:, 0].tolist() == [0.5, 1.5]
+        # what the NUL and separator count guards against: loadtxt accepts
+        # these, float() refuses the first and Domain the second
+        assert loadtxt_rows(line(feature="1\x1c"))["features"][0, 0] == 1.0
+        assert loadtxt_rows(line(domain="source\x00"))["domain"][0] == "source"
+        # a 7-character domain field cuts "sourcesource" to no domain
+        assert loadtxt_rows(line(domain="sourcesource"))["domain"][0] == "sources"
+
+    @given(at=st.sampled_from([0, 1, CSV_BLOCK_ROWS - 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS]),
+           edits=st.lists(FIELD_EDITS, min_size=1, max_size=3),
+           blank=st.sampled_from([None, "", " "]), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final_newline=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_text_agrees_with_per_row_parse(self, at, edits, blank, newline, final_newline):
+        # one edited row at line ``at`` of the rows, perhaps after a blank
+        # or whitespace-only line, with two good rows after it
+        rows = [list(row) for row in GOOD_ROWS[:at + 3]]
+        for column, text in edits:
+            rows[at][column] = text
+        if blank is not None:
+            rows.insert(at, blank)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "probe.csv"
+            path.write_bytes(csv_bytes(rows, newline, final_newline))
+            assert_same_load(path)
 
 
 # Values where repr switches notation (1e-4, 1e16), the subnormal and

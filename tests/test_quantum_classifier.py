@@ -16,6 +16,7 @@ from oracles import (
     per_cone_sweep,
     run_circuit,
     simulate_dense,
+    walk_light_cones,
     z_expectation_dense,
 )
 from qpose.data import FeatureNormalizer
@@ -97,6 +98,14 @@ class TestStdAnsatz:
     def test_register_wider_than_the_limit_rejected_before_its_gates(self):
         with pytest.raises(ValueError, match="MAX_CONE_AMPLITUDES"):
             StdAnsatz(MAX_CONE_AMPLITUDES + 1, 1)
+
+    def test_widest_register_builds_without_walking_every_cone(self):
+        # the set walk of every readout's cone took 1.9 s at 800 qubits and
+        # grows as n^2; the interval steps find these cones in one pass
+        ansatz = StdAnsatz(MAX_CONE_AMPLITUDES, 1)
+        assert ansatz.n_theta == 2 * (MAX_CONE_AMPLITUDES - 1)
+        groups = quantum_classifier._cone_groups(MAX_CONE_AMPLITUDES, 1)
+        assert {hi + 1 - lo for (lo, hi), _ in groups} == {2, 4}
 
 
 class TestForward:
@@ -447,6 +456,11 @@ class TestLightCone:
             assert is_subsequence(as_global, full)
             assert reached <= set(qubits)
             assert len(groups) == 1 or reached == set(qubits)
+
+    def test_interval_cones_equal_the_set_walk(self):
+        for n in range(2, 65):
+            for layers in range(1, 5):
+                assert light_cones.__wrapped__(n, layers) == walk_light_cones(n, layers), (n, layers)
 
     @pytest.mark.parametrize("n, layers", [(10, 3), (4, 1)])
     def test_single_full_width_group(self, n, layers):
