@@ -2,7 +2,25 @@
 
 Both consume the same frozen source-domain feature normalizer as the neural
 models so accuracy comparisons are like for like. Both are deterministic
-given their training set.
+given their training set, and both refuse non-finite input features.
+
+kNN finds the neighbors of a block of queries in two steps. One gemm gives
+|f|^2 - 2 z.f for every (query z, reference f) pair: the squared distance
+less |z|^2, which is constant along a row. Against the exact distance,
+both rounded, it errs by less than about 2e-14 of S = |z|^2 + max |f|^2,
+so the margin M = `_MARGIN` * S, plus the smallest normal float for
+underflow, bounds the error with room to spare. A reference whose gemm
+value lies more than 2M above the row's k-th smallest is strictly farther
+than the k-th neighbor, and is dropped. The shortlist left, usually just
+k references, is ranked by the exact squared distance
+`((z - f) ** 2).sum()`, the same contiguous 36-long reduction as over a
+full (queries, references, features) difference and so the same bits, in
+a stable sort by row, distance and training index. The neighbors and their
+tie-breaks are therefore those of a stable sort of the full distance
+matrix, whatever bits the BLAS kernel gives the gemm: the gemm decides only
+how much gets re-ranked. A row whose shortlist fills up (distances tied
+within the margin, or S past `_HUGE`, where the gemm could overflow)
+re-ranks every reference, as the full sort did.
 """
 
 from __future__ import annotations
@@ -14,9 +32,23 @@ import numpy as np
 from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNormalizer,
                    check_int_fields, checkpoint_arrays, features_matrix)
 
-# Query rows per distance block: bounds the (rows, references, features)
-# difference temporary instead of letting it grow with the query count.
+# Query rows per distance block: bounds the (rows, references) gemm and
+# shortlist temporaries instead of letting them grow with the query count;
+# the exact re-rank holds the differences of the shortlisted pairs only.
 _QUERY_CHUNK = 256
+# The shortlist's margin relative to |z|^2 + max |f|^2, some 50 times the
+# gemm's rounding error. From _HUGE on the gemm could overflow, so the
+# margin is infinite there and every pair of the row a candidate.
+_MARGIN = 1e-12
+_HUGE = 2.0**1000
+
+
+def _normalized(normalizer: FeatureNormalizer, x: np.ndarray) -> np.ndarray:
+    """``x`` as rows through ``normalizer``; ValueError unless finite."""
+    z = normalizer.transform(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    if not np.isfinite(z).all():
+        raise ValueError("input features must be finite")
+    return z
 
 
 @dataclass(eq=False)
@@ -65,18 +97,35 @@ class KnnModel:
         return {"k": self.k}, {"features": self.features.tolist(), "labels": self.labels.tolist()}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        z = self.normalizer.transform(x)
+        z = _normalized(self.normalizer, x)
         nearest = np.empty((z.shape[0], self.k), dtype=np.intp)
         for lo in range(0, z.shape[0], _QUERY_CHUNK):
-            block = z[lo : lo + _QUERY_CHUNK]
-            d2 = ((block[:, None, :] - self.features[None, :, :]) ** 2).sum(axis=2)
-            nearest[lo : lo + _QUERY_CHUNK] = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            nearest[lo : lo + _QUERY_CHUNK] = self._nearest(z[lo : lo + _QUERY_CHUNK])
         votes = self.labels[nearest]
-        scores = np.zeros((x.shape[0], N_CLASSES))
+        scores = np.zeros((z.shape[0], N_CLASSES))
         for c in range(N_CLASSES):
             scores[:, c] = (votes == c).sum(axis=1)
         return scores / self.k
+
+    def _nearest(self, block: np.ndarray) -> np.ndarray:
+        """Training indices of the k nearest neighbors of each ``block`` row,
+        the ones a stable sort of the exact distances picks (module doc)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # past _HUGE, see _MARGIN
+            # |f|^2 - 2 z.f: the squared distance less the row's |z|^2
+            sq_norms = (self.features**2).sum(axis=1)
+            approx = block @ (-2.0 * self.features).T
+            approx += sq_norms
+            kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
+            norms = (block**2).sum(axis=1) + sq_norms.max()
+            margin = np.where(norms < _HUGE, _MARGIN * norms + np.finfo(np.float64).tiny, np.inf)
+            # a NaN gemm entry, or an infinite or NaN bound, keeps its pair
+            rows, cols = np.nonzero(~(approx > (kth + 2.0 * margin)[:, None]))
+        diff = block[rows]  # the exact ((z - f) ** 2).sum(), in place
+        diff -= self.features[cols]
+        d2 = np.square(diff, out=diff).sum(axis=1)
+        order = np.lexsort((d2, rows))  # by row, then distance, then training index
+        counts = np.bincount(rows, minlength=len(block))
+        return cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(self.k)]]
 
 
 @dataclass(eq=False)
@@ -140,8 +189,7 @@ class GnbModel:
 
     def log_posteriors(self, x: np.ndarray) -> np.ndarray:
         """Unnormalized: log prior + sum_f log N(x_f; mu_cf, var_cf)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        z = self.normalizer.transform(x)
+        z = _normalized(self.normalizer, x)
         diff = z[:, None, :] - self.means[None, :, :]
         log_density = -0.5 * (
             np.log(2.0 * np.pi * self.variances)[None, :, :] + diff**2 / self.variances[None, :, :]

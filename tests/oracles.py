@@ -24,6 +24,10 @@ for bit.
 sweep, CSV rendering, CSV parse and subset draw in the package: one tie
 group, one float and one row at a time, with Python integers and lists.
 
+`full_sort_knn_scores` is the kNN vote before its shortlist: one
+(queries, references, features) difference, its squares summed over the
+last axis and a stable argsort of every distance row.
+
 `logaddexp_mish` and `logaddexp_mish_grad` form softplus with
 `np.logaddexp`, which numpy evaluates through scalar libm calls; the
 package's exp/log1p form runs numpy's vector loops and may differ from them
@@ -435,6 +439,14 @@ def loop_stratified_subset(labels, count: int, seed: int):
         chosen = rng.permutation(n)[:count].tolist()
     chosen_set = set(chosen)
     return sorted(chosen_set), [i for i in range(n) if i not in chosen_set], stratified
+
+
+def full_sort_knn_scores(features, labels, k: int, queries) -> np.ndarray:
+    """Vote fractions of the k nearest ``features`` rows of each query row,
+    ties in distance to the earliest row, from every squared distance."""
+    d2 = ((queries[:, None, :] - features[None, :, :]) ** 2).sum(axis=2)
+    votes = labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    return np.stack([(votes == c).sum(axis=1) for c in range(N_CLASSES)], axis=1) / k
 
 
 def logaddexp_mish(x: np.ndarray) -> np.ndarray:

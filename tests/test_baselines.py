@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gnb_posteriors_direct
+from oracles import full_sort_knn_scores, gnb_posteriors_direct
 from rows import rows
-from qpose.baselines import GnbModel, KnnModel
+from qpose.baselines import _QUERY_CHUNK, GnbModel, KnnModel
 from qpose.data import FeatureNormalizer, N_CLASSES, N_FEATURES
 
 
@@ -67,6 +67,31 @@ class TestKnn:
         votes = y_train[np.argsort(d2, axis=1, kind="stable")[:, :5]]
         expected = np.stack([(votes == c).sum(axis=1) for c in range(N_CLASSES)], axis=1) / 5
         assert np.array_equal(m.predict_proba(queries), expected)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 40),
+           k_pick=st.sampled_from(["one", "all", "any"]),
+           n_query=st.sampled_from([1, 9, _QUERY_CHUNK, _QUERY_CHUNK + 57]),
+           scale=st.sampled_from([1.0, 1e100, 1e150, 1e154, 1e-160, 1e-162]),
+           rounded=st.booleans(), duplicates=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_shortlist_equals_full_sort(self, seed, n_train, k_pick, n_query, scale, rounded,
+                                        duplicates):
+        # at 1e150 |z|^2 + |f|^2 passes _HUGE, at 1e154 the exact distances
+        # overflow too, and at 1e-160 and 1e-162 the squares are subnormal;
+        # rounding to 0.1 and repeated rows make exact ties
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n_train, N_FEATURES))
+        if duplicates:
+            x = np.concatenate([x, x[rng.integers(0, n_train, n_train)]])
+        queries = np.concatenate([rng.normal(size=(n_query, N_FEATURES)), x[:n_query]])
+        if rounded:
+            x, queries = x.round(1), queries.round(1)
+        x, queries = x * scale, queries * scale
+        y = rng.integers(0, N_CLASSES, len(x))
+        k = {"one": 1, "all": len(x), "any": int(rng.integers(1, len(x) + 1))}[k_pick]
+        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=k)
+        assert np.array_equal(m.predict_proba(queries), full_sort_knn_scores(x, y, k, queries))
 
     def test_duplicate_set_vote_scaling(self):
         rng = np.random.default_rng(1)
@@ -198,3 +223,18 @@ class TestGnb:
         m = gnb_from_arrays(x, y)
         np.testing.assert_allclose(m.priors, np.array(counts) / sum(counts), atol=1e-15)
         assert abs(m.priors.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+@pytest.mark.parametrize("kind", ["knn", "gnb"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_non_finite_query_rejected(kind, bad):
+    # 1e300 is finite but overflows under a normalizer with a small scale
+    rng = np.random.default_rng(9)
+    train = rows(rng.normal(size=(16, N_FEATURES)), np.tile(np.arange(N_CLASSES), 2))
+    norm = FeatureNormalizer(mean=np.zeros(N_FEATURES), std=np.full(N_FEATURES, 1e-12))
+    m = KnnModel.fit(train, norm, k=3) if kind == "knn" else GnbModel.fit(train, norm)
+    queries = rng.normal(size=(3, N_FEATURES))
+    queries[1, 7] = bad
+    with pytest.raises(ValueError, match="input features must be finite"):
+        m.predict_proba(queries)

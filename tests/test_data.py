@@ -404,6 +404,42 @@ class TestBlockParse:
         ds = assert_same_load(path)
         assert ds.samples[CSV_BLOCK_ROWS, 4] == 10.0 and ds.labels[3] == 1
 
+    @pytest.mark.parametrize("column", [0, 1, 2, 7, 2 + N_FEATURES])
+    @pytest.mark.parametrize("at", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 5])
+    def test_invalid_utf8_names_its_line(self, tmp_path, column, at):
+        rows = [list(row) for row in GOOD_ROWS]
+        rows[at][column] += "@"  # no other @ in the file
+        path = tmp_path / "probe.csv"
+        path.write_bytes(csv_bytes(rows).replace(b"@", b"\xff"))
+        with pytest.raises(CsvFormatError, match=f"^line {at + 2}: ") as err:
+            load_csv(path)
+        assert str(err.value).isascii()  # the byte shows as \udcff
+
+    def test_bad_row_ahead_of_an_invalid_byte_is_named(self, tmp_path):
+        # a strict decode fails on the 8 KiB chunk holding both rows before
+        # either is parsed; the surrogateescape read names the earlier one
+        rows = [list(row) for row in GOOD_ROWS]
+        rows[3][0], rows[5][7] = "9", rows[5][7] + "@"
+        path = tmp_path / "probe.csv"
+        path.write_bytes(csv_bytes(rows).replace(b"@", b"\xff"))
+        with pytest.raises(CsvFormatError, match="^line 5: label 9 outside 0..7$"):
+            load_csv(path)
+
+    def test_invalid_utf8_header_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "probe.csv"
+        path.write_bytes(csv_bytes(GOOD_ROWS).replace(b"b17", b"b\xff17", 1))
+        with pytest.raises(CsvFormatError, match="^line 1: bad header"):
+            load_csv(path)
+
+    def test_multibyte_utf8_loads_as_strict_decoding_does(self, tmp_path):
+        # two- and three-byte characters in every 8 KiB decode chunk
+        rows = [list(row) for row in GOOD_ROWS]
+        for at in range(0, len(rows), 7):
+            rows[at][0] = "١" if at % 2 else "　" + rows[at][0]
+        path = tmp_path / "ds.csv"
+        path.write_bytes(csv_bytes(rows))
+        assert len(assert_same_load(path)) == len(GOOD_ROWS)
+
     def test_loadtxt_behaviour_the_block_parse_relies_on(self):
         def line(label="0", domain="source", feature="0.5"):
             return f"{label},{domain},1,{feature}," + ",".join(["0.0"] * (N_FEATURES - 1)) + "\n"
