@@ -36,6 +36,10 @@ from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNorma
 # shortlist temporaries instead of letting them grow with the query count;
 # the exact re-rank holds the differences of the shortlisted pairs only.
 _QUERY_CHUNK = 256
+# Shortlisted pairs re-ranked at a time: each step holds two (pairs, 36)
+# float arrays, 4.7 MB, however many pairs a block keeps (a row whose
+# distances tie within the margin keeps all of its references).
+_PAIR_CHUNK = 8192
 # The shortlist's margin relative to |z|^2 + max |f|^2, some 50 times the
 # gemm's rounding error. From _HUGE on the gemm could overflow, so the
 # margin is infinite there and every pair of the row a candidate.
@@ -120,9 +124,12 @@ class KnnModel:
             margin = np.where(norms < _HUGE, _MARGIN * norms + np.finfo(np.float64).tiny, np.inf)
             # a NaN gemm entry, or an infinite or NaN bound, keeps its pair
             rows, cols = np.nonzero(~(approx > (kth + 2.0 * margin)[:, None]))
-        diff = block[rows]  # the exact ((z - f) ** 2).sum(), in place
-        diff -= self.features[cols]
-        d2 = np.square(diff, out=diff).sum(axis=1)
+        d2 = np.empty(len(rows))
+        for lo in range(0, len(rows), _PAIR_CHUNK):
+            pairs = slice(lo, lo + _PAIR_CHUNK)
+            diff = block[rows[pairs]]  # the exact ((z - f) ** 2).sum(), in place
+            diff -= self.features[cols[pairs]]
+            d2[pairs] = np.square(diff, out=diff).sum(axis=1)
         order = np.lexsort((d2, rows))  # by row, then distance, then training index
         counts = np.bincount(rows, minlength=len(block))
         return cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(self.k)]]

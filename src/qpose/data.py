@@ -319,23 +319,16 @@ def load_csv(path) -> Dataset:
     (`_read_block`) into four column buffers that grow in place (by a
     quarter, at least CSV_BLOCK_ROWS rows) and are trimmed at the end, so
     the features are never held twice; a bad row raises CsvFormatError
-    naming its line. A file that is not valid UTF-8 is read again with each
-    undecodable byte as a lone surrogate (surrogateescape), which no field
-    accepts, so the parse names the first bad line."""
+    naming its line. The file is decoded with surrogateescape: a byte that
+    is not valid UTF-8 becomes a lone surrogate, which no field accepts, so
+    the parse names the first bad line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    try:
-        return _load_csv(path, "strict")
-    except UnicodeDecodeError:
-        return _load_csv(path, "surrogateescape")
-
-
-def _load_csv(path: Path, errors: str) -> Dataset:
     columns = [np.empty((0, N_FEATURES)), np.empty(0, np.int64), np.empty(0, "<U6"),
                np.empty(0, np.int64)]
     n, lineno = 0, 2
-    with open(path, "r", encoding="utf-8", errors=errors) as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
             raise CsvFormatError(f"line 1: bad header, expected `{CSV_HEADER}`")
         while True:

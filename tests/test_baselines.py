@@ -1,5 +1,7 @@
 """kNN and Gaussian naive Bayes baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,20 +73,23 @@ class TestKnn:
     @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 40),
            k_pick=st.sampled_from(["one", "all", "any"]),
            n_query=st.sampled_from([1, 9, _QUERY_CHUNK, _QUERY_CHUNK + 57]),
-           scale=st.sampled_from([1.0, 1e100, 1e150, 1e154, 1e-160, 1e-162]),
+           scale=st.sampled_from([1.0, 1e100, 1e150, 1e153, 1e154, 1e-160, 1e-162]),
            rounded=st.booleans(), duplicates=st.booleans())
     @settings(max_examples=80, deadline=None)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_shortlist_equals_full_sort(self, seed, n_train, k_pick, n_query, scale, rounded,
                                         duplicates):
-        # at 1e150 |z|^2 + |f|^2 passes _HUGE, at 1e154 the exact distances
-        # overflow too, and at 1e-160 and 1e-162 the squares are subnormal;
-        # rounding to 0.1 and repeated rows make exact ties
+        # at 1e150 |z|^2 + |f|^2 passes _HUGE, at 1e153 it is still finite
+        # while the gemm of a query facing a reference can overflow, at 1e154
+        # the exact distances overflow too, and at 1e-160 and 1e-162 the
+        # squares are subnormal; rounding to 0.1 and repeated rows make
+        # exact ties
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n_train, N_FEATURES))
         if duplicates:
             x = np.concatenate([x, x[rng.integers(0, n_train, n_train)]])
-        queries = np.concatenate([rng.normal(size=(n_query, N_FEATURES)), x[:n_query]])
+        queries = np.concatenate([rng.normal(size=(n_query, N_FEATURES)), x[:n_query],
+                                  -x[:n_query]])
         if rounded:
             x, queries = x.round(1), queries.round(1)
         x, queries = x * scale, queries * scale
@@ -92,6 +97,35 @@ class TestKnn:
         k = {"one": 1, "all": len(x), "any": int(rng.integers(1, len(x) + 1))}[k_pick]
         m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=k)
         assert np.array_equal(m.predict_proba(queries), full_sort_knn_scores(x, y, k, queries))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gemm_entry_stays_a_candidate(self):
+        # |z|^2 + max |f|^2 is finite and past _HUGE; |f|^2 - 2 z.f overflows
+        # for reference 0 only, and both exact distances overflow, so the
+        # stable sort's tie-break picks reference 0
+        x, y = lift([(-0.9e154, 0), (-0.5e154, 0)]), np.array([1, 2])
+        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=1)
+        queries = lift([(0.9e154, 0)])
+        assert np.array_equal(m.predict_proba(queries), full_sort_knn_scores(x, y, 1, queries))
+        assert m.predict_proba(queries)[0, 1] == 1.0
+
+    def test_tied_block_re_ranks_within_the_old_temporary(self):
+        # every pair of every row ties, so the whole block is re-ranked; the
+        # peak stays below the (rows, references, 36) difference the full
+        # sort held
+        rng = np.random.default_rng(3)
+        x = np.tile(rng.normal(size=(1, N_FEATURES)), (400, 1))
+        y = rng.integers(0, N_CLASSES, 400)
+        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=5)
+        queries = rng.normal(size=(_QUERY_CHUNK, N_FEATURES))
+        tracemalloc.start()
+        try:
+            scores = m.predict_proba(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(scores, full_sort_knn_scores(x, y, 5, queries))
+        assert peak < 8 * _QUERY_CHUNK * 400 * N_FEATURES
 
     def test_duplicate_set_vote_scaling(self):
         rng = np.random.default_rng(1)

@@ -416,8 +416,8 @@ class TestBlockParse:
         assert str(err.value).isascii()  # the byte shows as \udcff
 
     def test_bad_row_ahead_of_an_invalid_byte_is_named(self, tmp_path):
-        # a strict decode fails on the 8 KiB chunk holding both rows before
-        # either is parsed; the surrogateescape read names the earlier one
+        # both rows lie in one 8 KiB decode chunk, where a strict decode
+        # would fail before either is parsed; the earlier one is named
         rows = [list(row) for row in GOOD_ROWS]
         rows[3][0], rows[5][7] = "9", rows[5][7] + "@"
         path = tmp_path / "probe.csv"
