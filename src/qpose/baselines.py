@@ -47,14 +47,6 @@ _MARGIN = 1e-12
 _HUGE = 2.0**1000
 
 
-def _normalized(normalizer: FeatureNormalizer, x: np.ndarray) -> np.ndarray:
-    """``x`` as rows through ``normalizer``; ValueError unless finite."""
-    z = normalizer.transform(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if not np.isfinite(z).all():
-        raise ValueError("input features must be finite")
-    return z
-
-
 @dataclass(eq=False)
 class KnnModel:
     """k-nearest-neighbor with Euclidean distance over normalized features.
@@ -101,7 +93,7 @@ class KnnModel:
         return {"k": self.k}, {"features": self.features.tolist(), "labels": self.labels.tolist()}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        z = _normalized(self.normalizer, x)
+        z = self.normalizer.transform(x)
         nearest = np.empty((z.shape[0], self.k), dtype=np.intp)
         for lo in range(0, z.shape[0], _QUERY_CHUNK):
             nearest[lo : lo + _QUERY_CHUNK] = self._nearest(z[lo : lo + _QUERY_CHUNK])
@@ -196,7 +188,7 @@ class GnbModel:
 
     def log_posteriors(self, x: np.ndarray) -> np.ndarray:
         """Unnormalized: log prior + sum_f log N(x_f; mu_cf, var_cf)."""
-        z = _normalized(self.normalizer, x)
+        z = self.normalizer.transform(x)
         diff = z[:, None, :] - self.means[None, :, :]
         log_density = -0.5 * (
             np.log(2.0 * np.pi * self.variances)[None, :, :] + diff**2 / self.variances[None, :, :]

@@ -146,7 +146,14 @@ class FeatureNormalizer:
         return cls(mean=np.zeros(n_features), std=np.ones(n_features))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+        """``x`` as normalized rows. A non-finite result, which a finite
+        value can give under a small scale, raises ValueError without a
+        numpy warning; every model kind reads its features through this."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean) / self.std
+        if not np.isfinite(z).all():
+            raise ValueError("input features must be finite")
+        return z
 
 
 class CheckpointError(ValueError):

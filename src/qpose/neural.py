@@ -133,10 +133,7 @@ def dnn_forward(params: dict[str, np.ndarray], x: np.ndarray, config: DnnConfig,
     the layer's name, and the last hidden state under ``h_out``. Without one
     (scoring), only the running activation is held.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not np.isfinite(x).all():
-        raise ValueError("input features must be finite")
-    h = x
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     for name in _mish_layers(config):
         z = h @ params[f"{name}.w"] + params[f"{name}.b"]
         if cache is None:

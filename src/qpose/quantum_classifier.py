@@ -18,7 +18,7 @@ the cost down.
 
 The circuits are not simulated on all n qubits. <Z_q> depends only on the
 gates in qubit q's backward light cone (the causal-cone argument for local
-observables), which at n=10, L=1 spans 2 or 4 qubits; `light_cones`
+observables), which at n=10, L=1 spans 2 or 4 qubits; `_cone_groups`
 groups the readout qubits that share a cone, and each group runs on a
 register of its cone's qubits alone, 16 amplitudes instead of 1024. When
 the groups would hold 2^n amplitudes or more (n=10 at L >= 3), a single
@@ -34,12 +34,13 @@ Groups whose cones run the same local gates on different angle slots (the
 four middle cones at n=10, L=1) share one staircase, each group a block of
 columns with its own angles, when their shifts fork at the same gates: a
 full-gradient sample there runs 3 staircases of 14 RY and 5 CZ kernel
-calls instead of 6 of 38 and 14. `cone_stacks` caches the grouping, and
-`_sweep_parts` its split by the shifted slots of a call. The
-readout stays one call per group on that group's own probabilities, with
-the rows per call the unstacked sweep had, so the stacking moves no bit of
-the output. A circuit whose widest group would hold more than
-`MAX_CONE_AMPLITUDES` amplitudes is refused when its `StdAnsatz` is made.
+calls instead of 6 of 38 and 14. `cone_stacks` caches the stacked groups
+and their local gates, and `_sweep_parts` their split by the shifted slots
+of a call. The readout stays one call per group on that group's own
+probabilities, with the rows per call the unstacked sweep had, so the
+stacking moves no bit of the output. A circuit whose widest group would
+hold more than `MAX_CONE_AMPLITUDES` amplitudes is refused when its
+`StdAnsatz` is made.
 
 Implementation note: RY and CZ have real matrices and the start state
 |0...0> is real, so every statevector is real. The `statevector` kernels
@@ -51,7 +52,7 @@ Kronecker-product simulation of the whole register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,7 +98,7 @@ class StdAnsatz:
     Per layer: block A applies CZ to pairs (0,1),(2,3),... with an RY on
     both pair members after each CZ; block B does the same on the staggered
     pairs (1,2),(3,4),.... Works for odd n too; either way each layer holds
-    2(n-1) trainable angles. A circuit whose widest `light_cones` group
+    2(n-1) trainable angles. A circuit whose widest `_cone_groups` group
     holds more than `MAX_CONE_AMPLITUDES` amplitudes is rejected.
     """
 
@@ -122,35 +123,23 @@ class StdAnsatz:
     def n_theta(self) -> int:
         return 2 * (self.n_qubits - 1) * self.n_layers
 
-    def layout(self, slot_offset: int = 0) -> list[GateOp]:
-        """Ansatz gates with RY slots numbered slot_offset, slot_offset+1, ..."""
-        return _ansatz_gates(self.n_qubits, self.n_layers, slot_offset)
-
-    def dressed_ops(self) -> list[GateOp]:
-        """Encoding RY on every qubit (slots 0..n-1) followed by the ansatz
-        (slots n..n+2(n-1)L-1)."""
-        return _dressed_gates(self.n_qubits, self.n_layers)
-
     @property
     def n_slots(self) -> int:
         return self.n_qubits + self.n_theta
 
 
-def _ansatz_gates(n_qubits: int, n_layers: int, slot_offset: int) -> list[GateOp]:
-    ops: list[GateOp] = []
-    slot = slot_offset
+def dressed_gates(n_qubits: int, n_layers: int) -> list[GateOp]:
+    """Encoding RY on every qubit (slots 0..n-1), then the ansatz's layers
+    (slots n..n+2(n-1)L-1): block A's pairs, then block B's, each pair a CZ
+    and an RY on both of its qubits."""
+    ops = [ry(q, q) for q in range(n_qubits)]
+    slot = n_qubits
     for _ in range(n_layers):
         for start in (0, 1):
             for a in range(start, n_qubits - 1, 2):
-                ops.append(cz(a, a + 1))
-                ops.append(ry(a, slot))
-                ops.append(ry(a + 1, slot + 1))
+                ops += [cz(a, a + 1), ry(a, slot), ry(a + 1, slot + 1)]
                 slot += 2
     return ops
-
-
-def _dressed_gates(n_qubits: int, n_layers: int) -> list[GateOp]:
-    return [ry(q, q) for q in range(n_qubits)] + _ansatz_gates(n_qubits, n_layers, n_qubits)
 
 
 # Amplitudes per chunk of the sweep: small enough that a chunk's
@@ -241,63 +230,45 @@ def _cone_gates(n_qubits: int, n_layers: int, lo: int, hi: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def light_cones(n_qubits: int, n_layers: int):
-    """Readout groups of the dressed circuit and the gates each one needs.
-
-    <Z_q> depends only on the gates in qubit q's backward light cone: walking
-    the gates backwards from q, a gate joins if it touches a live qubit, and
-    a CZ makes both of its qubits live. Readout qubits with the same cone
-    qubits form a group that runs on those qubits alone (`_cone_groups`).
-    Returns a tuple of ``(qubits, ops, readout, local)``: ``qubits`` are the
-    cone's qubits in ascending order, ``ops`` the group's gates
-    (`_cone_gates`) re-indexed to local qubits 0..w-1, ``readout`` the
-    group's readout qubits and ``local`` their local indices.
-    """
-    ops = _dressed_gates(n_qubits, n_layers)
-    result = []
-    for (lo, hi), readout in _cone_groups(n_qubits, n_layers):
-        local_ops = tuple(
-            replace(ops[g], target=ops[g].target - lo,
-                    control=None if ops[g].control is None else ops[g].control - lo)
-            # a group's readout qubits are consecutive: cones grow with q
-            for g in _cone_gates(n_qubits, n_layers, readout[0], readout[-1]))
-        result.append((tuple(range(lo, hi + 1)), local_ops, readout,
-                       tuple(q - lo for q in readout)))
-    return tuple(result)
-
-
-@lru_cache(maxsize=None)
 def cone_stacks(n_qubits: int, n_layers: int):
-    """The `light_cones` groups, with congruent groups stacked.
+    """Readout groups of the dressed circuit with their local gates,
+    congruent groups stacked.
 
+    <Z_q> depends only on the gates in qubit q's backward light cone, so the
+    readout qubits of one cone (`_cone_groups`) run its gates
+    (`_cone_gates`) on the cone's qubits alone, re-indexed to 0..w-1.
     Groups whose local gates agree apart from their angle slots, and whose
     local readout indices agree, run the same staircase on different
-    angles, so they can share one. Returns a tuple of ``(width, ops, local,
-    slots, readout)`` per stack of m groups: ``ops`` are the first group's
-    local gates, ``local`` the shared local readout indices, ``slots`` an
-    (m, G) array of each group's angle slot for its G RY gates in gate
-    order, and ``readout`` an (m, r) array of each group's readout qubits.
+    angles, so they share one. Returns a tuple of ``(width, gates, local,
+    slots, readout)`` per stack of m groups: ``gates`` the local gates as
+    ``(kind, target, control)``, ``local`` the local readout indices,
+    ``slots`` an (m, G) array of each group's angle slot for its G RY gates
+    in gate order, and ``readout`` an (m, r) array of each group's readout
+    qubits.
     """
+    ops = dressed_gates(n_qubits, n_layers)
     stacks: dict[tuple, list] = {}
-    for qubits, ops, readout, local in light_cones(n_qubits, n_layers):
-        gates = tuple((op.kind, op.target, op.control) for op in ops)
-        stacks.setdefault((len(qubits), gates, local), []).append((ops, readout))
+    for (lo, hi), readout in _cone_groups(n_qubits, n_layers):
+        # a group's readout qubits are consecutive: cones grow with q
+        cone = [ops[g] for g in _cone_gates(n_qubits, n_layers, readout[0], readout[-1])]
+        gates = tuple((op.kind, op.target - lo, None if op.control is None else op.control - lo)
+                      for op in cone)
+        slots = [op.angle_slot for op in cone if op.kind is GateKind.RY]
+        key = (hi + 1 - lo, gates, tuple(q - lo for q in readout))
+        stacks.setdefault(key, []).append((slots, readout))
     result = []
-    for (width, _, local), members in stacks.items():
-        slots = np.array([[op.angle_slot for op in ops if op.kind is GateKind.RY]
-                          for ops, _ in members])
-        readout = np.array([r for _, r in members])
-        local = np.array(local)
-        for array in (local, slots, readout):
+    for (width, gates, local), members in stacks.items():
+        arrays = [np.array(local)] + [np.array(column) for column in zip(*members)]
+        for array in arrays:
             array.flags.writeable = False
-        result.append((width, members[0][0], local, slots, readout))
+        result.append((width, gates, *arrays))
     return tuple(result)
 
 
 @lru_cache(maxsize=64)
 def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
     """`cone_stacks` split by which RY gates carry one of ``slots``: a tuple
-    of ``(width, ops, local, forks, table, readout, src)`` per part, where
+    of ``(width, gates, local, forks, table, readout, src)`` per part, where
     ``forks`` marks the RY gates that fork, ``table`` and ``readout`` are
     the part's rows of the stack's arrays, and ``src`` (m, 1 + 2K) maps
     every output block to the staircase block each group reads it from:
@@ -305,7 +276,7 @@ def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
     caller = np.full(n_qubits + 2 * (n_qubits - 1) * n_layers, -1)
     caller[list(slots)] = np.arange(len(slots))
     parts = []
-    for width, ops, local, table, readout in cone_stacks(n_qubits, n_layers):
+    for width, gates, local, table, readout in cone_stacks(n_qubits, n_layers):
         where = caller[table]
         split: dict[bytes, list[int]] = {}
         for c, forks in enumerate(where >= 0):
@@ -320,7 +291,7 @@ def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
             part = (forks, table[members], readout[members], src)
             for array in part:
                 array.flags.writeable = False
-            parts.append((width, ops, local, *part))
+            parts.append((width, gates, local, *part))
     return tuple(parts)
 
 
@@ -338,7 +309,7 @@ def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) ->
     rows = angles.shape[0]
     out = np.empty((1 + 2 * len(slots), rows, ansatz.n_qubits))
     parts = _sweep_parts(ansatz.n_qubits, ansatz.n_layers, tuple(slots))
-    for width, ops, local, forks, table, readout, src in parts:
+    for width, gates, local, forks, table, readout, src in parts:
         blocks = 1 + 2 * int(forks.sum())
         per_chunk = max(1, _CHUNK_AMPLITUDES // (blocks << width))
         chunk_rows = max(1, min(rows, per_chunk))
@@ -347,15 +318,15 @@ def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) ->
             stack = slice(first, first + per_stack)
             for lo in range(0, rows, per_chunk):
                 chunk = angles[lo : lo + per_chunk]
-                z = _cone_staircase(width, ops, forks, table[stack], chunk)
+                z = _cone_staircase(width, gates, forks, table[stack], chunk)
                 for i, z_i in enumerate(z, start=first):
                     out[:, lo : lo + len(chunk), readout[i]] = z_i[:, :, local][src[i]]
     return out
 
 
-def _cone_staircase(width: int, ops, forks: np.ndarray, table: np.ndarray,
+def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
                     chunk: np.ndarray) -> list[np.ndarray]:
-    """Run ``ops`` on ``width`` qubits for m congruent groups at once: the
+    """Run ``gates`` on ``width`` qubits for m congruent groups at once: the
     base circuit of every ``chunk`` row and its +-pi/2 shifts at the RY
     gates marked in ``forks``, in one pass over the gates.
 
@@ -375,9 +346,9 @@ def _cone_staircase(width: int, ops, forks: np.ndarray, table: np.ndarray,
     amps = zero_states(width, batch=blocks * cols)
     live = cols
     g = 0
-    for op in ops:
-        if op.kind is GateKind.CZ:
-            cz_rows(amps[:, :live], op.control, op.target)
+    for kind, target, control in gates:
+        if kind is GateKind.CZ:
+            cz_rows(amps[:, :live], control, target)
             continue
         base = angles[table[:, g]].ravel()
         theta = [base] * (live // cols)
@@ -385,7 +356,7 @@ def _cone_staircase(width: int, ops, forks: np.ndarray, table: np.ndarray,
             amps[:, live : live + 2 * cols].reshape(-1, 2, cols)[:] = amps[:, None, :cols]
             theta += [base + np.pi / 2, base - np.pi / 2]
             live += 2 * cols
-        ry_rows(amps[:, :live], op.target, np.concatenate(theta))
+        ry_rows(amps[:, :live], target, np.concatenate(theta))
         g += 1
     amps *= amps
     states = amps.reshape(-1, blocks, m, s)
@@ -418,14 +389,13 @@ class DressedQnnModel:
         ansatz: StdAnsatz = StdAnsatz(),
         seed: int = 0,
         n_features: int = N_FEATURES,
-        n_classes: int = N_CLASSES,
     ) -> "DressedQnnModel":
         """theta ~ uniform(-pi, pi); linear layers ~ uniform(+-1/sqrt(fan_in))."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         params: dict[str, np.ndarray] = {}
         params["in.w"], params["in.b"] = linear_init(rng, n_features, ansatz.n_qubits)
         params["theta"] = rng.uniform(-np.pi, np.pi, ansatz.n_theta)
-        params["out.w"], params["out.b"] = linear_init(rng, ansatz.n_qubits, n_classes)
+        params["out.w"], params["out.b"] = linear_init(rng, ansatz.n_qubits, N_CLASSES)
         return cls(ansatz=ansatz, params=params, normalizer=normalizer)
 
     @classmethod
@@ -454,9 +424,6 @@ class DressedQnnModel:
 
     def encoding_angles(self, x: np.ndarray) -> np.ndarray:
         """(B, n_qubits) RY encoding angles for raw feature rows."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if not np.isfinite(x).all():
-            raise ValueError("input features must be finite")
         return self.normalizer.transform(x) @ self.params["in.w"] + self.params["in.b"]
 
     def _angle_rows(self, encoding: np.ndarray) -> np.ndarray:

@@ -18,16 +18,19 @@ JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
 everything needed to reproduce a run: argv-style config, seeds, the SHA-256
 of the bytes of the dataset file the run read (or `gen` wrote), the BLAS
-thread variables in effect (null when unset), the numpy version and the
-SIMD features numpy enabled on the host, and the final metrics. numpy picks
-its vector loops by those features, so they are the conditions under which
-a rerun is bit-identical; checkpoints and summaries never record them.
+thread variables in effect (null when unset), the numpy version, the SIMD
+features numpy enabled on the host, the core whose kernels numpy's bundled
+OpenBLAS runs (null without one), and the final metrics. numpy picks its
+vector loops by those features and OpenBLAS its gemm kernels by the core,
+so they are the conditions under which a rerun is bit-identical;
+checkpoints and summaries never record them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,26 @@ def _numpy_simd() -> list[str]:
     return [name for name, enabled in __cpu_features__.items() if enabled]
 
 
+@lru_cache(maxsize=None)
+def _blas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS picked its kernels for at run time,
+    such as SkylakeX, or Haswell with OPENBLAS_CORETYPE=Haswell exported;
+    None when numpy bundles no scipy-openblas. Looked up on first use, once
+    a process."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    lib = next(libs.glob("libscipy_openblas64_*"), None)
+    if lib is None:
+        return None
+    try:
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def write_run_metadata(path, *, command: str, config: dict, seed: int,
                        dataset_hash: str, deterministic: bool, metrics: dict) -> None:
     doc = {
@@ -118,6 +141,7 @@ def write_run_metadata(path, *, command: str, config: dict, seed: int,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd(),
+        "blas_core": _blas_core(),
         "metrics": metrics,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

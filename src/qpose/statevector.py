@@ -23,9 +23,9 @@ built on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,36 +35,18 @@ class GateKind(Enum):
     CZ = "cz"
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     """One circuit instruction.
 
     RY carries an ``angle_slot`` index into a parameter vector and no
-    control; CZ carries a control qubit and no angle.
+    control; CZ carries a control qubit and no angle. Nothing is checked
+    here: `ry_rows` and `cz_rows` refuse a bad qubit when the gate runs.
     """
 
     kind: GateKind
     target: int
     control: int | None = None
     angle_slot: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.target < 0:
-            raise IndexError(f"negative target qubit {self.target}")
-        if self.kind is GateKind.RY:
-            if self.angle_slot is None:
-                raise ValueError("RY gate requires an angle_slot")
-            if self.control is not None:
-                raise ValueError("RY gate takes no control qubit")
-        else:
-            if self.angle_slot is not None:
-                raise ValueError("CZ gate takes no angle_slot")
-            if self.control is None:
-                raise ValueError("CZ gate requires a control qubit")
-            if self.control == self.target:
-                raise IndexError("CZ control and target must differ")
-            if self.control < 0:
-                raise IndexError(f"negative control qubit {self.control}")
 
 
 def ry(target: int, angle_slot: int) -> GateOp:

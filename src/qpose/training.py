@@ -196,13 +196,14 @@ def fit_model(kind: str, samples: Dataset, *, config: TrainConfig, qubits: int =
     return model, pretrain(model, samples, config, eval_samples=eval_samples)
 
 
-def transfer_finetune(model, fewshot, config: TransferConfig, eval_samples=None) -> TrainTrace:
+def transfer_finetune(model, fewshot, config: TransferConfig) -> TrainTrace:
     """Fine-tune ``model`` in place on few-shot target labels with the model
     kind's parameters in ``transfer_frozen`` held fixed and a freshly
-    initialized optimizer."""
+    initialized optimizer. Per-epoch accuracy in the trace is measured on
+    the few-shot rows."""
     if not fewshot:
         raise ValueError("cannot fine-tune on an empty subset")
-    return _sgd_epochs(model, fewshot, config, model.transfer_frozen, eval_samples)
+    return _sgd_epochs(model, fewshot, config, model.transfer_frozen, None)
 
 
 @dataclass(frozen=True)

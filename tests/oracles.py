@@ -14,10 +14,11 @@ The exceptions drive the production kernels (`ry_rows`, `cz_rows`,
 single-state helpers `apply_ry`, `apply_cz` and `expectation_z`, which the
 tests check against the Kronecker oracle, and `full_width_sweep`, the
 all-qubit staircase that the light cones of `z_from_angles` must match to
-1e-12. `per_cone_sweep` runs the production `light_cones` groups one at
-a time on row-major (states, 2^w) buffers, with its own row kernels: the
-form that the basis-major, stacked sweep of `z_from_angles` must match bit
-for bit.
+1e-12. `per_cone_sweep` runs the light-cone groups of `walk_light_cones`
+one at a time on row-major (states, 2^w) buffers, with its own row kernels:
+the form that the basis-major, stacked sweep of `z_from_angles` must match
+bit for bit. `walk_light_cones` finds each readout qubit's cone with a set
+of live qubits, not the interval steps of the package's `cone_stacks`.
 
 `loop_binary_roc`, `csv_text_by_value`, `per_row_load_csv` and
 `loop_stratified_subset` are the loop forms of the array-at-a-time ROC
@@ -36,7 +37,6 @@ by a few ulp.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +44,7 @@ from mpmath import mp, mpf
 
 from qpose.data import (CSV_BLOCK_ROWS, CSV_HEADER, N_CLASSES, N_FEATURES, CsvFormatError,
                         Dataset, Domain, apportion)
-from qpose.quantum_classifier import _dressed_gates, light_cones
+from qpose.quantum_classifier import dressed_gates
 from qpose.statevector import (
     GateKind,
     GateOp,
@@ -119,7 +119,7 @@ def dense_shift_sweep(ansatz, angles) -> np.ndarray:
     angles = np.asarray(angles, dtype=np.float64)
     block = np.zeros((1 << n, 1 + 2 * ansatz.n_slots), dtype=np.complex128)
     block[0] = 1.0
-    for op in ansatz.dressed_ops():
+    for op in dressed_gates(ansatz.n_qubits, ansatz.n_layers):
         if op.kind is GateKind.CZ:
             block = cz_matrix(n, op.control, op.target) @ block
             continue
@@ -175,7 +175,7 @@ def full_width_sweep(ansatz, angles, slots=()):
     n = ansatz.n_qubits
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
     slots = [int(j) for j in slots]
-    ops = ansatz.dressed_ops()
+    ops = dressed_gates(n, ansatz.n_layers)
     gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
     order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
     opens = {gate_of[j] for j in slots}
@@ -273,7 +273,7 @@ def per_cone_sweep(ansatz, angles, slots=None):
     shifted = [] if slots is None else [int(j) for j in slots]
     rows, n = angles.shape[0], ansatz.n_qubits
     out = np.empty((1 + 2 * len(shifted), rows, n))
-    for qubits, ops, readout, local in light_cones(n, ansatz.n_layers):
+    for qubits, ops, readout, local in walk_light_cones(n, ansatz.n_layers):
         in_cone = {op.angle_slot for op in ops if op.kind is GateKind.RY}
         inside = [i for i, j in enumerate(shifted) if j in in_cone]
         part = _row_cone_staircase(len(qubits), ops, angles,
@@ -287,10 +287,18 @@ def per_cone_sweep(ansatz, angles, slots=None):
 
 
 def walk_light_cones(n_qubits: int, n_layers: int):
-    """`light_cones` by walking every readout qubit's backward cone over the
-    whole dressed gate list with a set of live qubits, O(n^2 L): the same
-    groups, gates, readouts and local indices, without the interval steps."""
-    ops = _dressed_gates(n_qubits, n_layers)
+    """Readout groups of the dressed circuit and the gates each one needs,
+    by walking every readout qubit's backward cone over the whole gate list
+    with a set of live qubits, O(n^2 L).
+
+    Walking back from q, a gate joins if it touches a live qubit, and a CZ
+    makes both of its qubits live. Readout qubits with the same cone form a
+    group; if the groups together hold at least 2^n amplitudes, one group
+    of every qubit takes their place. Returns a tuple of ``(qubits, ops,
+    readout, local)``: the cone's qubits in ascending order, the group's
+    gates re-indexed to local qubits 0..w-1, its readout qubits and their
+    local indices."""
+    ops = dressed_gates(n_qubits, n_layers)
 
     def cone(readout):
         live, gates = set(readout), []
@@ -310,11 +318,25 @@ def walk_light_cones(n_qubits: int, n_layers: int):
     for qubits, readout in groups.items():
         index = {q: i for i, q in enumerate(sorted(qubits))}
         local_ops = tuple(
-            replace(ops[g], target=index[ops[g].target],
-                    control=None if ops[g].control is None else index[ops[g].control])
+            ops[g]._replace(target=index[ops[g].target],
+                            control=None if ops[g].control is None else index[ops[g].control])
             for g in cone(readout)[1])
         result.append((tuple(index), local_ops, tuple(readout), tuple(index[q] for q in readout)))
     return tuple(result)
+
+
+def walk_cone_stacks(n_qubits: int, n_layers: int):
+    """The groups of `walk_light_cones` stacked as `cone_stacks` stacks
+    them, in lists: one ``(width, gates, local, slots, readout)`` per set of
+    groups whose ``(kind, target, control)`` gates and local readout indices
+    agree, in the order of each stack's first group."""
+    stacks: dict[tuple, list] = {}
+    for qubits, ops, readout, local in walk_light_cones(n_qubits, n_layers):
+        gates = tuple((op.kind, op.target, op.control) for op in ops)
+        slots = [op.angle_slot for op in ops if op.kind is GateKind.RY]
+        stacks.setdefault((len(qubits), gates, local), []).append((slots, list(readout)))
+    return [(width, gates, list(local), [s for s, _ in members], [r for _, r in members])
+            for (width, gates, local), members in stacks.items()]
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):

@@ -26,12 +26,12 @@ from oracles import (
 from qpose.data import FeatureNormalizer
 from qpose.evaluation import binary_roc
 from qpose.neural import DnnConfig, dnn_init, n_params, softmax_cross_entropy
-from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, z_from_angles
+from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, dressed_gates, z_from_angles
 from qpose.statevector import GateKind
 
 RUNTIME_BUDGET_S = 15 * 60
-# sha256 of the fixture's facts.json and checkpoints per numpy version and
-# SIMD class, written by scripts/record_fixture_digests.py
+# sha256 of the fixture's facts.json and checkpoints per numpy version, SIMD
+# features and BLAS core, written by scripts/record_fixture_digests.py
 FIXTURE_DIGESTS = Path(__file__).with_name("fixture_digests.json")
 
 
@@ -67,7 +67,7 @@ def test_ansatz_parameter_law(capsys):
         for layers in range(1, 5):
             ansatz = StdAnsatz(n, layers)
             want = 2 * (n - 1) * layers
-            ry_slots = sum(1 for op in ansatz.layout() if op.kind is GateKind.RY)
+            ry_slots = sum(1 for op in dressed_gates(n, layers)[n:] if op.kind is GateKind.RY)
             ok = ok and ansatz.n_theta == want and ry_slots == want
     ok = ok and StdAnsatz(10, 1).n_theta == 18
     report(capsys, "ansatz parameter law 2(n-1)L, 18 at n=10 L=1", ok)
@@ -225,21 +225,22 @@ def test_fixture_runtime_budget(capsys, fixture_run):
 
 
 def test_fixture_outputs_equal_the_digests_of_their_simd_class(capsys, fixture_run):
-    # numpy picks its loops by CPU feature, so "byte-identical" holds within
-    # a class: the numpy version and SIMD features the run's metadata records
+    # numpy picks its loops by CPU feature and OpenBLAS its gemm kernels by
+    # core, so "byte-identical" holds within a class: the numpy version, SIMD
+    # features and BLAS core the run's metadata records
     _, _, out = fixture_run
     meta = json.loads((out / "gen_metadata.json").read_text(encoding="utf-8"))
-    host = (meta["numpy_version"], meta["numpy_simd"])
+    key = ("numpy_version", "numpy_simd", "blas_core")
+    host = [meta[field] for field in key]
     record = json.loads(FIXTURE_DIGESTS.read_text(encoding="utf-8"))
-    digests = [c["sha256"] for c in record["classes"]
-               if (c["numpy_version"], c["numpy_simd"]) == host]
+    digests = [c["sha256"] for c in record["classes"] if [c[field] for field in key] == host]
     if not digests:
-        pytest.skip(f"no fixture digests recorded for numpy {host[0]} with SIMD features"
-                    f" {' '.join(host[1])}")
+        pytest.skip(f"no fixture digests recorded for numpy {host[0]}, BLAS core {host[2]}"
+                    f" and SIMD features {' '.join(host[1])}")
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests[0]}
     moved = sorted(name for name in got if got[name] != digests[0][name])
     report(capsys, "fixture facts.json and checkpoints equal the digests of their SIMD class",
-           not moved, f"numpy {host[0]}, {len(host[1])} SIMD features"
+           not moved, f"numpy {host[0]}, {len(host[1])} SIMD features, BLAS core {host[2]}"
            + (f"; moved: {', '.join(moved)}" if moved else ""))
 
 

@@ -261,7 +261,7 @@ class TestGnb:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
 @pytest.mark.parametrize("kind", ["knn", "gnb"])
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_query_rejected(kind, bad):
     # 1e300 is finite but overflows under a normalizer with a small scale
     rng = np.random.default_rng(9)

@@ -356,6 +356,33 @@ class TestEval:
         assert doc["error"] == "CheckpointError"
         assert "config.n_features" in doc["message"]
 
+    @pytest.mark.parametrize("kind", ["dnn", "qnn", "knn", "gnb"])
+    def test_feature_overflowing_its_normalizer_error_document(self, dataset, tmp_path, kind):
+        # 1e300 is finite, but over a 1e-12 feature scale it overflows:
+        # the run prints the error document and no numpy warning before it
+        norm = FeatureNormalizer(mean=np.zeros(36), std=np.full(36, 1e-12))
+        model = {
+            "dnn": lambda: DnnModel.create(norm, config=DnnConfig(hidden=9, n_blocks=1)),
+            "qnn": lambda: DressedQnnModel.create(norm, StdAnsatz(3, 1)),
+            "knn": lambda: KnnModel(np.zeros((4, 36)), np.arange(4), 3, norm),
+            "gnb": lambda: GnbModel(np.full(8, 0.125), np.zeros((8, 36)), np.ones((8, 36)),
+                                    norm),
+        }[kind]()
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text(json.dumps(checkpoint_dict(model)), encoding="utf-8")
+        header, *lines = dataset.read_text(encoding="utf-8").splitlines()
+        fields = [line.split(",") for line in lines]
+        for row in fields:
+            row[3] = "1e300"  # the first feature of every row
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join([header] + [",".join(row) for row in fields]) + "\n",
+                        encoding="utf-8")
+        proc = run_proc(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                         "--out-dir", str(tmp_path / "e")])
+        assert proc.returncode == 1
+        assert proc.stderr == json.dumps({"error": "ValueError",
+                                          "message": "input features must be finite"}) + "\n"
+
 
 class TestTransfer:
     def test_repeated_transfer_outputs(self, dataset, tmp_path):

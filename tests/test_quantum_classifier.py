@@ -1,4 +1,4 @@
-"""Dressed QNN: ansatz layout, forward, parameter-shift gradients and the
+"""Dressed QNN: ansatz gates, forward, parameter-shift gradients and the
 shared-prefix sweep that evaluates them light cone by light cone, with
 congruent cones stacked."""
 
@@ -16,6 +16,7 @@ from oracles import (
     per_cone_sweep,
     run_circuit,
     simulate_dense,
+    walk_cone_stacks,
     walk_light_cones,
     z_expectation_dense,
 )
@@ -27,8 +28,8 @@ from qpose.quantum_classifier import (
     DressedQnnModel,
     StdAnsatz,
     cone_stacks,
+    dressed_gates,
     evaluation_count,
-    light_cones,
     reset_evaluation_count,
     z_from_angles,
 )
@@ -59,18 +60,18 @@ class TestStdAnsatz:
         for n in range(2, 13):
             for layers in range(1, 5):
                 ansatz = StdAnsatz(n, layers)
-                ry_ops = [op for op in ansatz.layout() if op.kind is GateKind.RY]
+                ops = dressed_gates(n, layers)
+                slots = [op.angle_slot for op in ops if op.kind is GateKind.RY]
                 assert ansatz.n_theta == 2 * (n - 1) * layers
-                assert len(ry_ops) == ansatz.n_theta
-                slots = sorted(op.angle_slot for op in ry_ops)
-                assert slots == list(range(ansatz.n_theta))
+                assert slots[:n] == list(range(n))  # encoding, then the ansatz
+                assert sorted(slots[n:]) == list(range(n, ansatz.n_slots))
 
     def test_default_is_18_parameters(self):
         assert StdAnsatz(10, 1).n_theta == 18
 
     def test_block_structure(self):
         # layer of n=4: CZ(0,1) RY RY CZ(2,3) RY RY, then CZ(1,2) RY RY
-        kinds = [op.kind for op in StdAnsatz(4, 1).layout()]
+        kinds = [op.kind for op in dressed_gates(4, 1)[4:]]
         assert kinds == [
             GateKind.CZ, GateKind.RY, GateKind.RY,
             GateKind.CZ, GateKind.RY, GateKind.RY,
@@ -87,7 +88,7 @@ class TestStdAnsatz:
     @pytest.mark.parametrize("n, layers, widest", [(30, 1, 4), (17, 4, 16), (10, 3, 10)])
     def test_registers_within_the_amplitude_limit(self, n, layers, widest):
         StdAnsatz(n, layers)
-        assert max(len(group[0]) for group in light_cones(n, layers)) == widest
+        assert max(width for width, *_ in cone_stacks(n, layers)) == widest
         assert 1 << widest <= MAX_CONE_AMPLITUDES
 
     @pytest.mark.parametrize("n, layers, widest", [(30, 8, 30), (17, 5, 17)])
@@ -124,7 +125,7 @@ class TestForward:
         m = small_model(n_qubits=2, seed=3)
         x = np.array([0.37, -1.2])
         angles = np.concatenate([m.encoding_angles(x)[0], m.params["theta"]])
-        state = simulate_dense(2, StdAnsatz(2, 1).dressed_ops(), angles)
+        state = simulate_dense(2, dressed_gates(2, 1), angles)
         z_oracle = np.array([z_expectation_dense(state, q) for q in range(2)])
         logits_oracle = z_oracle @ m.params["out.w"] + m.params["out.b"]
         np.testing.assert_allclose(m.logits(x)[0], logits_oracle, atol=1e-10)
@@ -157,7 +158,7 @@ class TestForward:
         ansatz = StdAnsatz(3, 2)
         angles = rng.uniform(-np.pi, np.pi, ansatz.n_slots)
         z_fast = z_from_angles(ansatz, angles)[0]
-        state = run_circuit(3, ansatz.dressed_ops(), angles)
+        state = run_circuit(3, dressed_gates(3, 2), angles)
         z_ref = np.array([expectation_z(state, q) for q in range(3)])
         np.testing.assert_allclose(z_fast, z_ref, atol=1e-12)
 
@@ -316,15 +317,16 @@ def chunk_edge_rows(ansatz, slots):
     """A row count that puts one row past a full chunk of every group."""
     shifted = set(range(ansatz.n_slots) if slots is None else slots)
     chunks = []
-    for qubits, ops, _, _ in light_cones(ansatz.n_qubits, ansatz.n_layers):
+    for qubits, ops, _, _ in walk_light_cones(ansatz.n_qubits, ansatz.n_layers):
         blocks = 1 + 2 * sum(op.angle_slot in shifted for op in ops if op.kind is GateKind.RY)
         chunks.append(max(1, quantum_classifier._CHUNK_AMPLITUDES // (blocks << len(qubits))))
     return max(chunks) + 1
 
 
 class TestStackedSweep:
-    """The basis-major sweep with congruent cones stacked against the same
-    light cones run one at a time on row-major buffers, bit for bit."""
+    """The basis-major sweep with congruent cones stacked against the light
+    cones of the set walk run one at a time on row-major buffers, bit for
+    bit."""
 
     @staticmethod
     def assert_bit_identical(ansatz, rows, slots):
@@ -379,16 +381,16 @@ class TestStackedSweep:
     def test_congruent_cones_stack(self, n, layers, sizes):
         stacks = cone_stacks(n, layers)
         assert [len(table) for _, _, _, table, _ in stacks] == sizes
-        groups = {readout: (qubits, ops) for qubits, ops, readout, _ in light_cones(n, layers)}
-        for width, ops, local, table, readout in stacks:
+        groups = {readout: (qubits, ops)
+                  for qubits, ops, readout, _ in walk_light_cones(n, layers)}
+        for width, gates, local, table, readout in stacks:
             for slots, qubits_out in zip(table, readout):
                 qubits, group_ops = groups[tuple(qubits_out)]
                 assert len(qubits) == width
                 assert [qubits[i] for i in local] == list(qubits_out)
                 ry_slots = [op.angle_slot for op in group_ops if op.kind is GateKind.RY]
                 assert ry_slots == list(slots)
-                assert [(op.kind, op.target, op.control) for op in group_ops] == \
-                    [(op.kind, op.target, op.control) for op in ops]
+                assert [(op.kind, op.target, op.control) for op in group_ops] == list(gates)
 
 
 def forward_reach(ops, g):
@@ -438,9 +440,11 @@ class TestLightCone:
     @given(n=st.integers(2, 12), layers=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_cones_are_closed(self, n, layers):
-        ops = StdAnsatz(n, layers).dressed_ops()
+        # the set walk's groups, which test_interval_cones_equal_the_set_walk
+        # ties to cone_stacks
+        ops = dressed_gates(n, layers)
         full = [(op.kind, op.target, op.control, op.angle_slot) for op in ops]
-        groups = light_cones(n, layers)
+        groups = walk_light_cones(n, layers)
         assert sorted(q for _, _, readout, _ in groups for q in readout) == list(range(n))
         for qubits, local_ops, readout, local in groups:
             assert [qubits[i] for i in local] == list(readout)
@@ -460,17 +464,23 @@ class TestLightCone:
     def test_interval_cones_equal_the_set_walk(self):
         for n in range(2, 65):
             for layers in range(1, 5):
-                assert light_cones.__wrapped__(n, layers) == walk_light_cones(n, layers), (n, layers)
+                got = [(width, gates, *(a.tolist() for a in arrays))
+                       for width, gates, *arrays in cone_stacks.__wrapped__(n, layers)]
+                assert got == walk_cone_stacks(n, layers), (n, layers)
 
     @pytest.mark.parametrize("n, layers", [(10, 3), (4, 1)])
     def test_single_full_width_group(self, n, layers):
-        (qubits, ops, readout, local), = light_cones(n, layers)
-        assert qubits == readout == local == tuple(range(n))
-        assert ops == tuple(StdAnsatz(n, layers).dressed_ops())
+        (width, gates, local, slots, readout), = cone_stacks(n, layers)
+        ops = dressed_gates(n, layers)
+        assert width == n and local.tolist() == list(range(n))
+        assert readout.tolist() == [list(range(n))]
+        assert gates == tuple((op.kind, op.target, op.control) for op in ops)
+        assert slots.tolist() == [list(range(StdAnsatz(n, layers).n_slots))]
 
     @pytest.mark.parametrize("layers, amplitudes", [(1, 72), (2, 672)])
     def test_default_register_splits_into_cones(self, layers, amplitudes):
-        assert sum(1 << len(group[0]) for group in light_cones(10, layers)) == amplitudes
+        assert sum(len(table) << width for width, _, _, table, _ in cone_stacks(10, layers)) \
+            == amplitudes
 
     @pytest.mark.parametrize("layers", [1, 3])
     def test_kernel_traffic(self, monkeypatch, layers):

@@ -1,6 +1,9 @@
 """Checkpoint round-trips and format validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +265,16 @@ class TestRunMetadata:
         assert len(doc["dataset_sha256"]) == 64
         assert doc["numpy_version"] == np.__version__
         assert all(isinstance(feature, str) for feature in doc["numpy_simd"])
+        assert "blas_core" in doc
+
+    def test_blas_core_follows_openblas_coretype(self):
+        # a process per setting: OpenBLAS picks its core when it loads
+        def core(**env):
+            return subprocess.run(
+                [sys.executable, "-c", "from qpose import serialize; print(serialize._blas_core())"],
+                capture_output=True, text=True, env={**os.environ, **env}, check=True,
+            ).stdout.strip()
+
+        if core() == "None":
+            pytest.skip("numpy bundles no scipy-openblas")
+        assert core(OPENBLAS_CORETYPE="Haswell") == "Haswell"

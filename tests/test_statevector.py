@@ -16,7 +16,7 @@ from oracles import (
     simulate_dense,
     z_expectation_dense,
 )
-from qpose.statevector import GateKind, GateOp, cz, cz_rows, ry, ry_rows, zero_states
+from qpose.statevector import cz, cz_rows, ry, ry_rows, zero_states
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
@@ -28,32 +28,6 @@ def random_state(rng, n_qubits):
 
 def zero(n_qubits):
     return zero_states(n_qubits)[:, 0]
-
-
-class TestGateOpValidation:
-    def test_ry_requires_slot(self):
-        with pytest.raises(ValueError):
-            GateOp(kind=GateKind.RY, target=0)
-
-    def test_ry_rejects_control(self):
-        with pytest.raises(ValueError):
-            GateOp(kind=GateKind.RY, target=0, control=1, angle_slot=0)
-
-    def test_cz_requires_control(self):
-        with pytest.raises(ValueError):
-            GateOp(kind=GateKind.CZ, target=0)
-
-    def test_cz_rejects_slot(self):
-        with pytest.raises(ValueError):
-            GateOp(kind=GateKind.CZ, target=0, control=1, angle_slot=0)
-
-    def test_cz_control_equals_target(self):
-        with pytest.raises(IndexError):
-            cz(1, 1)
-
-    def test_negative_index(self):
-        with pytest.raises(IndexError):
-            ry(-1, 0)
 
 
 class TestApplyRy:
@@ -151,6 +125,11 @@ class TestRunCircuit:
         # half-turn on qubit 0 of two qubits lands on basis index 1
         s = run_circuit(2, [ry(0, 0)], [np.pi])
         np.testing.assert_allclose(s, [0, 1.0, 0, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("op", [ry(-1, 0), ry(2, 0), cz(-1, 0), cz(0, 2), cz(1, 1)])
+    def test_bad_qubit_rejected_when_the_gate_runs(self, op):
+        with pytest.raises(IndexError):
+            run_circuit(2, [op], [0.3])
 
     def test_hundred_random_circuits_match_dense_oracle(self):
         rng = np.random.default_rng(123)
