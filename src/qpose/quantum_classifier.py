@@ -36,11 +36,10 @@ columns with its own angles, when their shifts fork at the same gates: a
 full-gradient sample there runs 3 staircases of 14 RY and 5 CZ kernel
 calls instead of 6 of 38 and 14. `cone_stacks` caches the stacked groups
 and their local gates, and `_sweep_parts` their split by the shifted slots
-of a call. The readout stays one call per group on that group's own
-probabilities, with the rows per call the unstacked sweep had, so the
-stacking moves no bit of the output. A circuit whose widest group would
-hold more than `MAX_CONE_AMPLITUDES` amplitudes is refused when its
-`StdAnsatz` is made.
+of a call. A staircase is read out in one call, whose elementwise
+butterfly gives every circuit the same bits whatever the batch, chunk or
+stack it runs in. A circuit whose widest group would hold more than
+`MAX_CONE_AMPLITUDES` amplitudes is refused when its `StdAnsatz` is made.
 
 Implementation note: RY and CZ have real matrices and the start state
 |0...0> is real, so every statevector is real. The `statevector` kernels
@@ -144,11 +143,8 @@ def dressed_gates(n_qubits: int, n_layers: int) -> list[GateOp]:
 
 # Amplitudes per chunk of the sweep: small enough that a chunk's
 # statevectors stay in cache across the gate sequence; large batches run
-# noticeably faster in chunks than as one huge buffer. A group's readout
-# sees as many rows per call as its chunk holds, and BLAS sums a row in
-# another order at some row counts (one row; 9+ qubits), so the value also
-# fixes the last bits of the outputs. 64K ran a batch-100 gradient about a
-# third faster, but moved those bits (CHANGES.md).
+# noticeably faster in chunks than as one huge buffer. The value moves no
+# output bit, only the speed.
 _CHUNK_AMPLITUDES = 32 * 1024
 
 
@@ -318,14 +314,14 @@ def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) ->
             stack = slice(first, first + per_stack)
             for lo in range(0, rows, per_chunk):
                 chunk = angles[lo : lo + per_chunk]
-                z = _cone_staircase(width, gates, forks, table[stack], chunk)
+                z = _cone_staircase(width, gates, forks, table[stack], chunk)[..., local]
                 for i, z_i in enumerate(z, start=first):
-                    out[:, lo : lo + len(chunk), readout[i]] = z_i[:, :, local][src[i]]
+                    out[:, lo : lo + len(chunk), readout[i]] = z_i[src[i]]
     return out
 
 
 def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
-                    chunk: np.ndarray) -> list[np.ndarray]:
+                    chunk: np.ndarray) -> np.ndarray:
     """Run ``gates`` on ``width`` qubits for m congruent groups at once: the
     base circuit of every ``chunk`` row and its +-pi/2 shifts at the RY
     gates marked in ``forks``, in one pass over the gates.
@@ -336,8 +332,7 @@ def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
     the remaining gates run on it. The s rows run as a (2^w, B * m * s)
     buffer of B = 1 + 2K blocks in gate order, each holding every group's
     s states, so the states live at any gate are a leading column slice.
-    Returns each group's (B, s, width) readout, read from its own
-    contiguous (B * s, 2^w) probabilities, block-major.
+    Returns the (m, B, s, width) readout, read in one call.
     """
     m, s = table.shape[0], chunk.shape[0]
     blocks = 1 + 2 * int(forks.sum())
@@ -359,10 +354,7 @@ def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
         ry_rows(amps[:, :live], target, np.concatenate(theta))
         g += 1
     amps *= amps
-    states = amps.reshape(-1, blocks, m, s)
-    return [z_expectations_rows(np.ascontiguousarray(states[:, :, i].transpose(1, 2, 0))
-                                .reshape(blocks * s, -1)).reshape(blocks, s, width)
-            for i in range(m)]
+    return z_expectations_rows(amps.T).reshape(blocks, m, s, width).swapaxes(0, 1)
 
 
 @dataclass(eq=False)

@@ -20,10 +20,10 @@ everything needed to reproduce a run: argv-style config, seeds, the SHA-256
 of the bytes of the dataset file the run read (or `gen` wrote), the BLAS
 thread variables in effect (null when unset), the numpy version, the SIMD
 features numpy enabled on the host, the core whose kernels numpy's bundled
-OpenBLAS runs (null without one), and the final metrics. numpy picks its
-vector loops by those features and OpenBLAS its gemm kernels by the core,
-so they are the conditions under which a rerun is bit-identical;
-checkpoints and summaries never record them.
+OpenBLAS runs (null without one), the BLAS version numpy was built against,
+and the final metrics. numpy picks its vector loops by those features and
+OpenBLAS its gemm kernels by the core, so they are the conditions under
+which a rerun is bit-identical; checkpoints and summaries never record them.
 """
 
 from __future__ import annotations
@@ -129,6 +129,17 @@ def _blas_core() -> str | None:
     return corename().decode()
 
 
+@lru_cache(maxsize=None)
+def _blas_version() -> str | None:
+    """The version of the BLAS numpy was built against, such as 0.3.31.188.0
+    for its bundled OpenBLAS, from numpy's build config; None when the config
+    names none. Looked up on first use, once a process."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    except (KeyError, TypeError):
+        return None
+
+
 def write_run_metadata(path, *, command: str, config: dict, seed: int,
                        dataset_hash: str, deterministic: bool, metrics: dict) -> None:
     doc = {
@@ -142,6 +153,7 @@ def write_run_metadata(path, *, command: str, config: dict, seed: int,
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd(),
         "blas_core": _blas_core(),
+        "blas_version": _blas_version(),
         "metrics": metrics,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -17,14 +17,15 @@ long row operations whatever the batch, O(2^n) work per gate and state; a
 2^n x 2^n matrix is never materialized. A column slice of the buffer is a
 valid argument, which lets a caller run a gate on its leading states only.
 `z_expectations_rows` reads out (batch, 2^n) basis-state probabilities, one
-state per row. `quantum_classifier.z_from_angles` is the one circuit runner
-built on them.
+state per row, by elementwise adds and subtracts in an order fixed by n,
+so a state's <Z> has the same bits in any batch, strides or SIMD width; no
+BLAS call is made. `quantum_classifier.z_from_angles` is the one circuit
+runner built on them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -109,17 +110,23 @@ def cz_rows(amps: np.ndarray, a: int, b: int) -> None:
     view[:, 1, :, 1] *= -1.0
 
 
-@lru_cache(maxsize=None)
-def z_signs(n_qubits: int) -> np.ndarray:
-    """(2^n, n) matrix of Pauli-Z eigenvalues: column q holds +1/-1 per basis
-    state according to bit q."""
-    idx = np.arange(1 << n_qubits)
-    bits = (idx[:, None] >> np.arange(n_qubits)[None, :]) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
 def z_expectations_rows(probs: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> from a (batch, 2^n) buffer of basis-state
-    probabilities (squared amplitudes, one state per row), as (batch, n)."""
+    probabilities (squared amplitudes, one state per row, any strides), as
+    (batch, n).
+
+    A butterfly, highest qubit first: the basis axis splits into halves
+    lo, hi; lo - hi, summed down to one value by halving, is that qubit's
+    <Z>, and lo + hi carries on to the next qubit. One (k + 1, 2^(n-k),
+    batch) buffer holds the k differences being halved, newest first, and
+    the carry last, so a step is one subtract and one add."""
     dim = probs.shape[1]
-    return probs @ z_signs(dim.bit_length() - 1)
+    buf = probs.T[None]
+    while dim > 1:
+        dim //= 2
+        lo, hi = buf[:, :dim], buf[:, dim:]
+        nxt = np.empty((len(buf) + 1, dim, probs.shape[0]))
+        np.subtract(lo[-1], hi[-1], out=nxt[0])
+        np.add(lo, hi, out=nxt[1:])
+        buf = nxt
+    return buf[:-1, 0].T

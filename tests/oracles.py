@@ -15,10 +15,14 @@ single-state helpers `apply_ry`, `apply_cz` and `expectation_z`, which the
 tests check against the Kronecker oracle, and `full_width_sweep`, the
 all-qubit staircase that the light cones of `z_from_angles` must match to
 1e-12. `per_cone_sweep` runs the light-cone groups of `walk_light_cones`
-one at a time on row-major (states, 2^w) buffers, with its own row kernels:
-the form that the basis-major, stacked sweep of `z_from_angles` must match
-bit for bit. `walk_light_cones` finds each readout qubit's cone with a set
-of live qubits, not the interval steps of the package's `cone_stacks`.
+one at a time on row-major (states, 2^w) buffers, all rows at once, with
+its own row kernels and the production readout: the form that the
+basis-major, stacked and chunked sweep of `z_from_angles` must match bit
+for bit. `walk_light_cones` finds each readout qubit's cone with a set of
+live qubits, not the interval steps of the package's `cone_stacks`.
+`gemm_z_expectations` is the readout as one matrix product with the table
+of Z eigenvalues, which the butterfly of `z_expectations_rows` must match
+to 1e-13.
 
 `loop_binary_roc`, `csv_text_by_value`, `per_row_load_csv` and
 `loop_stratified_subset` are the loop forms of the array-at-a-time ROC
@@ -51,7 +55,6 @@ from qpose.statevector import (
     cz_rows,
     ry_rows,
     z_expectations_rows,
-    z_signs,
     zero_states,
 )
 
@@ -131,6 +134,16 @@ def dense_shift_sweep(ansatz, angles) -> np.ndarray:
         block = out
     return np.stack([np.real(np.sum(np.conj(block) * (z_matrix(n, q) @ block), axis=0))
                      for q in range(n)], axis=1)
+
+
+def gemm_z_expectations(probs: np.ndarray) -> np.ndarray:
+    """Per-qubit <Z> of (batch, 2^n) probability rows as one matrix product
+    with the (2^n, n) table of Z eigenvalues, +1 or -1 by bit q of the
+    basis index. BLAS picks the summation order, which may change with the
+    row count and the kernel."""
+    n = probs.shape[1].bit_length() - 1
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
+    return probs @ (1.0 - 2.0 * bits)
 
 
 def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
@@ -238,29 +251,22 @@ def _row_cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -
     order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
     opens = {gate_of[j] for j in slots}
     blocks = 1 + 2 * len(slots)
-    rows = angles.shape[0]
-    out = np.empty((blocks, rows, width))
-    # the chunk of z_from_angles: its readout rows per call, and so the
-    # BLAS kernel that sums them, are the same
-    per_chunk = max(1, (32 * 1024) // (blocks << width))
-    for lo in range(0, rows, per_chunk):
-        chunk = angles[lo : lo + per_chunk]
-        s = chunk.shape[0]
-        amps = np.zeros((blocks * s, 1 << width))
-        amps[:, 0] = 1.0
-        live = s
-        for g, op in enumerate(ops):
-            if op.kind is GateKind.CZ:
-                _row_cz(amps[:live], op.control, op.target)
-                continue
-            column = chunk[:, op.angle_slot]
-            theta = np.tile(column, live // s)
-            if g in opens:
-                amps[live : live + 2 * s].reshape(2, s, -1)[:] = amps[:s]
-                theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
-                live += 2 * s
-            _row_ry(amps[:live], op.target, theta)
-        out[:, lo : lo + s] = ((amps * amps) @ z_signs(width)).reshape(blocks, s, width)
+    s = angles.shape[0]
+    amps = np.zeros((blocks * s, 1 << width))
+    amps[:, 0] = 1.0
+    live = 1  # blocks
+    for g, op in enumerate(ops):
+        if op.kind is GateKind.CZ:
+            _row_cz(amps[: live * s], op.control, op.target)
+            continue
+        column = angles[:, op.angle_slot]
+        theta = np.tile(column, live)
+        if g in opens:
+            amps[live * s : (live + 2) * s].reshape(2, s, 1 << width)[:] = amps[:s]
+            theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
+            live += 2
+        _row_ry(amps[: live * s], op.target, theta)
+    out = z_expectations_rows(amps * amps).reshape(blocks, s, width)
     rank = np.argsort(order)
     return out[np.concatenate([[0], np.stack([1 + 2 * rank, 2 + 2 * rank], axis=1).ravel()])]
 

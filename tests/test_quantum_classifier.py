@@ -228,7 +228,7 @@ class TestParamShift:
     def test_kernel_calls_of_a_full_gradient_sample(self, monkeypatch):
         # n=10, L=1: the four congruent middle cones run as one staircase,
         # so the six cones take 3 staircases of 8 + 3 + 3 RY and 3 + 1 + 1 CZ
-        # (38 RY and 14 CZ one cone at a time); readout stays one per cone
+        # (38 RY and 14 CZ one cone at a time), each read out in one call
         calls = {}
         for name in ("ry_rows", "cz_rows", "z_expectations_rows"):
             def counting(*args, kernel=getattr(quantum_classifier, name), name=name):
@@ -237,7 +237,7 @@ class TestParamShift:
             monkeypatch.setattr(quantum_classifier, name, counting)
         m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1), seed=1)
         m.loss_and_grad(np.ones((1, 36)), np.array([0]))
-        assert calls == {"ry_rows": 14, "cz_rows": 5, "z_expectations_rows": 6}
+        assert calls == {"ry_rows": 14, "cz_rows": 5, "z_expectations_rows": 3}
 
     def test_cost_contract(self):
         # one sample's full gradient: 1 + 2K circuits, K = 2(n-1)L + n slots
@@ -361,10 +361,10 @@ class TestStackedSweep:
                                   slots)
 
     @pytest.mark.parametrize("rows, slots", [
-        (1, None),        # four cones a staircase, each read out as one row
+        (1, None),        # four cones a staircase, read out in one call
         (700, None),      # two middle cones a staircase
         (1000, "theta"),  # one cone a staircase, chunks of 455 rows
-        (2049, None),     # a lone row in the last chunk: BLAS sums it as a vector
+        (2049, None),     # a lone row in the last chunk
         (513, None),
         (6, "all"),
     ])
@@ -375,6 +375,33 @@ class TestStackedSweep:
         rng = np.random.default_rng(rows)
         self.assert_bit_identical(ansatz, rng.uniform(-np.pi, np.pi, (rows, ansatz.n_slots)),
                                   slots)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_rows_are_bit_identical_whatever_their_batch(self, monkeypatch, n, layers):
+        # a row's outputs, base and shifted, are the bits it gets alone, at
+        # any chunk size, beside any other rows and under any slot list
+        ansatz = StdAnsatz(n, layers)
+        rng = np.random.default_rng(10 * n + layers)
+        rows = rng.uniform(-np.pi, np.pi, (5, ansatz.n_slots))
+        subset = rng.permutation(ansatz.n_slots)[: rng.integers(1, ansatz.n_slots)].tolist()
+        slot_lists = [None, list(range(ansatz.n_slots)), list(range(n, ansatz.n_slots)), subset]
+
+        def outputs(batches, slots):
+            parts = [z_from_angles(ansatz, batch, slots=slots) for batch in batches]
+            if slots is None:
+                parts = [(z,) for z in parts]
+            return [np.concatenate(out) for out in zip(*parts)]
+
+        alone = [outputs(rows[:, None], slots) for slots in slot_lists]
+        for chunk in (8 * 1024, 32 * 1024, 64 * 1024, 256 * 1024):
+            monkeypatch.setattr(quantum_classifier, "_CHUNK_AMPLITUDES", chunk)
+            for slots, want in zip(slot_lists, alone):
+                for batches in ([rows], [rows[:2], rows[2:]]):
+                    got = outputs(batches, slots)
+                    assert np.array_equal(got[0], alone[0][0]), (chunk, slots)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (chunk, slots)
 
     @pytest.mark.parametrize("n, layers, sizes", [(10, 1, [1, 4, 1]), (10, 3, [1]),
                                                   (8, 1, [1, 3, 1]), (9, 1, [1, 3, 1])])

@@ -266,6 +266,8 @@ class TestRunMetadata:
         assert doc["numpy_version"] == np.__version__
         assert all(isinstance(feature, str) for feature in doc["numpy_simd"])
         assert "blas_core" in doc
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert doc["blas_version"] == blas["version"]
 
     def test_blas_core_follows_openblas_coretype(self):
         # a process per setting: OpenBLAS picks its core when it loads

@@ -11,12 +11,13 @@ from oracles import (
     apply_cz,
     apply_ry,
     expectation_z,
+    gemm_z_expectations,
     random_circuit,
     run_circuit,
     simulate_dense,
     z_expectation_dense,
 )
-from qpose.statevector import cz, cz_rows, ry, ry_rows, zero_states
+from qpose.statevector import cz, cz_rows, ry, ry_rows, z_expectations_rows, zero_states
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
@@ -190,3 +191,26 @@ class TestBatchedRowKernels:
         for i, theta in enumerate(thetas):
             expected = apply_cz(apply_ry(before[:, i], qubit, theta), qubit, (qubit + 1) % 3)
             np.testing.assert_array_equal(amps[:, i], expected)
+
+
+def probability_rows(rng, rows, width):
+    p = rng.random((rows, 1 << width)) ** 4
+    return p / p.sum(axis=1, keepdims=True)
+
+
+class TestZExpectationsRows:
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_agrees_with_the_gemm_readout(self, width):
+        p = probability_rows(np.random.default_rng(width), 777, width)
+        np.testing.assert_allclose(z_expectations_rows(p), gemm_z_expectations(p),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_a_row_has_the_same_bits_in_any_layout_and_batch(self, width):
+        p = probability_rows(np.random.default_rng(40 + width), 777, width)
+        z = z_expectations_rows(p)
+        assert z.shape == (777, width)
+        assert np.array_equal(z_expectations_rows(np.ascontiguousarray(p.T).T), z)
+        for i in (0, 1, 776):
+            assert np.array_equal(z_expectations_rows(p[i : i + 1]), z[i : i + 1])
+        assert np.array_equal(z_expectations_rows(p[::7]), z[::7])
