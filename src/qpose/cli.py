@@ -470,7 +470,8 @@ def cmd_make_figures(args, out_dir: Path) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "--deterministic" in argv:
+    # argparse reads any unique prefix as the option, so `--det` pins too
+    if any(len(a) > 2 and "--deterministic".startswith(a) for a in argv):
         _force_single_thread()
     parser = build_parser()
     args = parser.parse_args(argv)

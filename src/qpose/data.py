@@ -141,10 +141,6 @@ class FeatureNormalizer:
         std = np.where(std < 1e-12, 1.0, std)
         return cls(mean=mean, std=std)
 
-    @classmethod
-    def identity(cls, n_features: int = N_FEATURES) -> "FeatureNormalizer":
-        return cls(mean=np.zeros(n_features), std=np.ones(n_features))
-
     def transform(self, x: np.ndarray) -> np.ndarray:
         """``x`` as normalized rows. A non-finite result, which a finite
         value can give under a small scale, raises ValueError without a

@@ -38,15 +38,10 @@ def mish(x: np.ndarray) -> np.ndarray:
     return x * np.tanh(softplus(x))
 
 
-def _mish_grad_parts(x, sp, t):
+def _mish_derivative(x, sp, t):
     """Mish'(x) from sp = softplus(x) and t = tanh(sp); exp(x - sp) is
     sigmoid(x) without overflow."""
     return t + x * np.exp(x - sp) * (1.0 - t * t)
-
-
-def mish_grad(x: np.ndarray) -> np.ndarray:
-    sp = softplus(x)
-    return _mish_grad_parts(x, sp, np.tanh(sp))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -159,7 +154,7 @@ def dnn_backward(params, cache, grad_logits, config: DnnConfig):
     gh = grad_logits @ params["out.w"].T
     for name in reversed(_mish_layers(config)):
         h, z, sp, t = cache[name]
-        gz = gh * _mish_grad_parts(z, sp, t)
+        gz = gh * _mish_derivative(z, sp, t)
         grads[f"{name}.w"] = h.T @ gz
         grads[f"{name}.b"] = gz.sum(axis=0)
         if name != "in":

@@ -35,18 +35,19 @@ four middle cones at n=10, L=1) share one staircase, each group a block of
 columns with its own angles, when their shifts fork at the same gates: a
 full-gradient sample there runs 3 staircases of 14 RY and 5 CZ kernel
 calls instead of 6 of 38 and 14. `cone_stacks` caches the stacked groups
-and their local gates, and `_sweep_parts` their split by the shifted slots
-of a call. A staircase is read out in one call, whose elementwise
-butterfly gives every circuit the same bits whatever the batch, chunk or
-stack it runs in. A circuit whose widest group would hold more than
-`MAX_CONE_AMPLITUDES` amplitudes is refused when its `StdAnsatz` is made.
+and their local gates, as ``(target, control)`` pairs, and `_sweep_parts`
+their split by the shifted slots of a call. A staircase is read out in one
+call, whose elementwise butterfly gives every circuit the same bits
+whatever the batch, chunk or stack it runs in. A circuit whose widest
+group would hold more than `MAX_CONE_AMPLITUDES` amplitudes is refused
+when its `StdAnsatz` is made.
 
 Implementation note: RY and CZ have real matrices and the start state
 |0...0> is real, so every statevector is real. The `statevector` kernels
 run on basis-major float64 buffers, batching many circuits (and many
 samples) as the columns of one (2^w, columns) array. The acceptance tests
-check the base circuit and every +-pi/2 shift against a dense
-Kronecker-product simulation of the whole register.
+check the base circuit and every +-pi/2 shift against a Kronecker-product
+simulation of the whole register, on the tests' own gate list.
 """
 
 from __future__ import annotations
@@ -59,28 +60,14 @@ import numpy as np
 from .data import (CheckpointError, FeatureNormalizer, N_CLASSES, N_FEATURES,
                    check_int_fields, checkpoint_arrays)
 from .neural import linear_init, n_params, softmax, softmax_cross_entropy
-from .statevector import (
-    GateKind,
-    GateOp,
-    cz,
-    cz_rows,
-    ry,
-    ry_rows,
-    z_expectations_rows,
-    zero_states,
-)
+from .statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
 
 _eval_count = 0
 
 
 def evaluation_count() -> int:
-    """Total statevector circuit evaluations since the last reset."""
+    """Total statevector circuit evaluations since the module loaded."""
     return _eval_count
-
-
-def reset_evaluation_count() -> None:
-    global _eval_count
-    _eval_count = 0
 
 
 # The widest light-cone group a circuit may run on: 2^16 amplitudes, 512 KiB
@@ -125,20 +112,6 @@ class StdAnsatz:
     @property
     def n_slots(self) -> int:
         return self.n_qubits + self.n_theta
-
-
-def dressed_gates(n_qubits: int, n_layers: int) -> list[GateOp]:
-    """Encoding RY on every qubit (slots 0..n-1), then the ansatz's layers
-    (slots n..n+2(n-1)L-1): block A's pairs, then block B's, each pair a CZ
-    and an RY on both of its qubits."""
-    ops = [ry(q, q) for q in range(n_qubits)]
-    slot = n_qubits
-    for _ in range(n_layers):
-        for start in (0, 1):
-            for a in range(start, n_qubits - 1, 2):
-                ops += [cz(a, a + 1), ry(a, slot), ry(a + 1, slot + 1)]
-                slot += 2
-    return ops
 
 
 # Amplitudes per chunk of the sweep: small enough that a chunk's
@@ -203,26 +176,31 @@ def _cone_groups(n_qubits: int, n_layers: int):
     return tuple((cone, tuple(readout)) for cone, readout in groups.items())
 
 
-def _cone_gates(n_qubits: int, n_layers: int, lo: int, hi: int) -> list[int]:
-    """Indices into the dressed gate list of the gates in the backward light
-    cone of readout qubits lo..hi, in circuit order. Walking back through a
-    block, a pair's CZ joins when it touches the cone, and each of its RY
-    gates when the gate's qubit is already in it; only the pairs that touch
-    the cone are visited."""
+def _cone_gates(n_qubits: int, n_layers: int, lo: int, hi: int) -> list[tuple]:
+    """The dressed circuit's gates in the backward light cone of readout
+    qubits lo..hi, in circuit order, as ``(target, control, slot)``: an RY
+    has no control and a CZ no slot. Qubit q's encoding RY has slot q;
+    block A of layer l (`StdAnsatz`) starts at slot n + 2l(n-1), and block
+    B n//2 pairs later. Walking back through a block, a pair's CZ joins
+    when it touches the cone, and each of its RY gates when the gate's
+    qubit is already in it; only the pairs that touch the cone are
+    visited."""
     blocks = []
     for layer in reversed(range(n_layers)):
         for start in (1, 0):
-            first = n_qubits + 3 * (layer * (n_qubits - 1) + start * (n_qubits // 2))
+            first = n_qubits + 2 * (layer * (n_qubits - 1) + start * (n_qubits // 2))
             low = max(start, lo - 1)
             pairs = range(low + (low - start) % 2, min(hi, n_qubits - 2) + 1, 2)
             gates = []
-            for a in pairs:  # the pair's CZ, then RY on a, then RY on a + 1
-                g = first + 3 * ((a - start) // 2)
-                gates += [g] + [g + 1] * (a >= lo) + [g + 2] * (a + 1 <= hi)
+            for a in pairs:
+                slot = first + a - start
+                gates += ([(a + 1, a, None)] + [(a, None, slot)] * (a >= lo)
+                          + [(a + 1, None, slot + 1)] * (a + 1 <= hi))
             blocks.append(gates)
             if pairs:
                 lo, hi = min(lo, pairs[0]), max(hi, pairs[-1] + 1)
-    return list(range(lo, hi + 1)) + [g for gates in reversed(blocks) for g in gates]
+    encoding = [(q, None, q) for q in range(lo, hi + 1)]
+    return encoding + [gate for gates in reversed(blocks) for gate in gates]
 
 
 @lru_cache(maxsize=None)
@@ -237,19 +215,18 @@ def cone_stacks(n_qubits: int, n_layers: int):
     local readout indices agree, run the same staircase on different
     angles, so they share one. Returns a tuple of ``(width, gates, local,
     slots, readout)`` per stack of m groups: ``gates`` the local gates as
-    ``(kind, target, control)``, ``local`` the local readout indices,
-    ``slots`` an (m, G) array of each group's angle slot for its G RY gates
-    in gate order, and ``readout`` an (m, r) array of each group's readout
-    qubits.
+    ``(target, control)``, control None for an RY, ``local`` the local
+    readout indices, ``slots`` an (m, G) array of each group's angle slot
+    for its G RY gates in gate order, and ``readout`` an (m, r) array of
+    each group's readout qubits.
     """
-    ops = dressed_gates(n_qubits, n_layers)
     stacks: dict[tuple, list] = {}
     for (lo, hi), readout in _cone_groups(n_qubits, n_layers):
         # a group's readout qubits are consecutive: cones grow with q
-        cone = [ops[g] for g in _cone_gates(n_qubits, n_layers, readout[0], readout[-1])]
-        gates = tuple((op.kind, op.target - lo, None if op.control is None else op.control - lo)
-                      for op in cone)
-        slots = [op.angle_slot for op in cone if op.kind is GateKind.RY]
+        cone = _cone_gates(n_qubits, n_layers, readout[0], readout[-1])
+        gates = tuple((target - lo, None if control is None else control - lo)
+                      for target, control, _ in cone)
+        slots = [slot for _, control, slot in cone if control is None]
         key = (hi + 1 - lo, gates, tuple(q - lo for q in readout))
         stacks.setdefault(key, []).append((slots, readout))
     result = []
@@ -341,8 +318,8 @@ def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
     amps = zero_states(width, batch=blocks * cols)
     live = cols
     g = 0
-    for kind, target, control in gates:
-        if kind is GateKind.CZ:
+    for target, control in gates:
+        if control is not None:
             cz_rows(amps[:, :live], control, target)
             continue
         base = angles[table[:, g]].ravel()

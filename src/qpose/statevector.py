@@ -1,4 +1,4 @@
-"""Gate description and row kernels for the classifier's RY/CZ circuits.
+"""Row kernels for the classifier's RY/CZ circuits.
 
 Conventions
 -----------
@@ -25,37 +25,7 @@ runner built on them.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
-
-
-class GateKind(Enum):
-    RY = "ry"
-    CZ = "cz"
-
-
-class GateOp(NamedTuple):
-    """One circuit instruction.
-
-    RY carries an ``angle_slot`` index into a parameter vector and no
-    control; CZ carries a control qubit and no angle. Nothing is checked
-    here: `ry_rows` and `cz_rows` refuse a bad qubit when the gate runs.
-    """
-
-    kind: GateKind
-    target: int
-    control: int | None = None
-    angle_slot: int | None = None
-
-
-def ry(target: int, angle_slot: int) -> GateOp:
-    return GateOp(GateKind.RY, target, angle_slot=angle_slot)
-
-
-def cz(control: int, target: int) -> GateOp:
-    return GateOp(GateKind.CZ, target, control=control)
 
 
 def _check_qubit(qubit: int, n_qubits: int) -> None:

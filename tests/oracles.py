@@ -5,9 +5,13 @@ simulated with 2^n x 2^n gate matrices built from Kronecker products, AUC
 is computed by brute-force pairwise comparison in exact rational
 arithmetic, gradients come from central finite differences, and Gaussian
 naive Bayes posteriors from direct density products at 50-digit precision.
-`dense_shift_sweep` is the Kronecker reference for the package's circuit
-runner, `z_from_angles`: the dressed circuit and every +-pi/2 shift of it
-on the whole register.
+
+`dressed_gates` is the reference circuit: the dressed QNN's whole gate
+list as plain ``(target, control, slot)`` tuples, stated apart from the
+package, whose light cones compute their gates by slot arithmetic. Every
+circuit oracle here runs on it. `dense_shift_sweep` is the Kronecker
+reference for the package's circuit runner, `z_from_angles`: the dressed
+circuit and every +-pi/2 shift of it on the whole register.
 
 The exceptions drive the production kernels (`ry_rows`, `cz_rows`,
 `z_expectations_rows`): `run_circuit` (one kernel call per gate) and the
@@ -36,7 +40,10 @@ last axis and a stable argsort of every distance row.
 `logaddexp_mish` and `logaddexp_mish_grad` form softplus with
 `np.logaddexp`, which numpy evaluates through scalar libm calls; the
 package's exp/log1p form runs numpy's vector loops and may differ from them
-by a few ulp.
+by a few ulp. `mish_grad` is Mish' in the package's own form, its
+backprop expression with softplus and tanh recomputed, and
+`identity_normalizer` the normalizer that changes nothing; only the tests
+need these two.
 """
 
 from __future__ import annotations
@@ -47,16 +54,25 @@ import numpy as np
 from mpmath import mp, mpf
 
 from qpose.data import (CSV_BLOCK_ROWS, CSV_HEADER, N_CLASSES, N_FEATURES, CsvFormatError,
-                        Dataset, Domain, apportion)
-from qpose.quantum_classifier import dressed_gates
-from qpose.statevector import (
-    GateKind,
-    GateOp,
-    cz_rows,
-    ry_rows,
-    z_expectations_rows,
-    zero_states,
-)
+                        Dataset, Domain, FeatureNormalizer, apportion)
+from qpose.neural import _mish_derivative, softplus
+from qpose.statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
+
+
+def dressed_gates(n_qubits: int, n_layers: int) -> list[tuple]:
+    """The dressed circuit as ``(target, control, slot)`` gates, an RY with
+    no control and a CZ with no slot: an encoding RY on every qubit (slots
+    0..n-1), then the ansatz's layers (slots n..n+2(n-1)L-1), each block
+    A's pairs (0,1),(2,3),... and then block B's pairs (1,2),(3,4),...,
+    each pair a CZ and an RY on both of its qubits."""
+    gates = [(q, None, q) for q in range(n_qubits)]
+    slot = n_qubits
+    for _ in range(n_layers):
+        for start in (0, 1):
+            for a in range(start, n_qubits - 1, 2):
+                gates += [(a + 1, a, None), (a, None, slot), (a + 1, None, slot + 1)]
+                slot += 2
+    return gates
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -89,11 +105,11 @@ def z_matrix(n_qubits: int, qubit: int) -> np.ndarray:
 def circuit_matrix(n_qubits: int, ops, params) -> np.ndarray:
     """Full unitary of the gate sequence (later gates multiply from the left)."""
     u = np.eye(1 << n_qubits, dtype=np.complex128)
-    for op in ops:
-        if op.kind is GateKind.RY:
-            g = single_qubit_embed(n_qubits, op.target, ry_matrix(params[op.angle_slot]))
+    for target, control, slot in ops:
+        if control is None:
+            g = single_qubit_embed(n_qubits, target, ry_matrix(params[slot]))
         else:
-            g = cz_matrix(n_qubits, op.control, op.target)
+            g = cz_matrix(n_qubits, control, target)
         u = g @ u
     return u
 
@@ -122,14 +138,14 @@ def dense_shift_sweep(ansatz, angles) -> np.ndarray:
     angles = np.asarray(angles, dtype=np.float64)
     block = np.zeros((1 << n, 1 + 2 * ansatz.n_slots), dtype=np.complex128)
     block[0] = 1.0
-    for op in dressed_gates(ansatz.n_qubits, ansatz.n_layers):
-        if op.kind is GateKind.CZ:
-            block = cz_matrix(n, op.control, op.target) @ block
+    for target, control, j in dressed_gates(ansatz.n_qubits, ansatz.n_layers):
+        if control is not None:
+            block = cz_matrix(n, control, target) @ block
             continue
-        j, theta = op.angle_slot, angles[op.angle_slot]
-        out = single_qubit_embed(n, op.target, ry_matrix(theta)) @ block
+        theta = angles[j]
+        out = single_qubit_embed(n, target, ry_matrix(theta)) @ block
         for col, shift in ((1 + 2 * j, np.pi / 2), (2 + 2 * j, -np.pi / 2)):
-            gate = single_qubit_embed(n, op.target, ry_matrix(theta + shift))
+            gate = single_qubit_embed(n, target, ry_matrix(theta + shift))
             out[:, col] = gate @ block[:, col]
         block = out
     return np.stack([np.real(np.sum(np.conj(block) * (z_matrix(n, q) @ block), axis=0))
@@ -150,11 +166,11 @@ def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
     """Amplitudes after ``ops`` on |0...0>, one production row kernel call
     per gate, with RY angles bound from ``params``."""
     amps = zero_states(n_qubits)
-    for op in ops:
-        if op.kind is GateKind.RY:
-            ry_rows(amps, op.target, float(params[op.angle_slot]))
+    for target, control, slot in ops:
+        if control is None:
+            ry_rows(amps, target, float(params[slot]))
         else:
-            cz_rows(amps, op.control, op.target)
+            cz_rows(amps, control, target)
     return amps[:, 0]
 
 
@@ -189,7 +205,7 @@ def full_width_sweep(ansatz, angles, slots=()):
     angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
     slots = [int(j) for j in slots]
     ops = dressed_gates(n, ansatz.n_layers)
-    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
+    gate_of = {slot: g for g, (_, control, slot) in enumerate(ops) if control is None}
     order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
     opens = {gate_of[j] for j in slots}
     blocks = 1 + 2 * len(slots)
@@ -201,17 +217,17 @@ def full_width_sweep(ansatz, angles, slots=()):
         s = chunk.shape[0]
         amps = zero_states(n, batch=blocks * s)
         live = s
-        for g, op in enumerate(ops):
-            if op.kind is GateKind.CZ:
-                cz_rows(amps[:, :live], op.control, op.target)
+        for g, (target, control, slot) in enumerate(ops):
+            if control is not None:
+                cz_rows(amps[:, :live], control, target)
                 continue
-            column = chunk[:, op.angle_slot]
+            column = chunk[:, slot]
             theta = np.tile(column, live // s)
             if g in opens:
                 amps[:, live : live + 2 * s].reshape(-1, 2, s)[:] = amps[:, None, :s]
                 theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
                 live += 2 * s
-            ry_rows(amps[:, :live], op.target, theta)
+            ry_rows(amps[:, :live], target, theta)
         probs = np.ascontiguousarray(amps.T)
         out[:, lo : lo + s] = z_expectations_rows(probs * probs).reshape(blocks, s, n)
     rank = np.argsort(order)
@@ -247,7 +263,7 @@ def _row_cz(amps: np.ndarray, a: int, b: int) -> None:
 def _row_cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -> np.ndarray:
     """One light-cone group's base circuit and shifts at ``slots``, (1 + 2K,
     rows, width), on row-major buffers of (1 + 2K) slot-major blocks."""
-    gate_of = {op.angle_slot: g for g, op in enumerate(ops) if op.kind is GateKind.RY}
+    gate_of = {slot: g for g, (_, control, slot) in enumerate(ops) if control is None}
     order = sorted(range(len(slots)), key=lambda i: gate_of[slots[i]])
     opens = {gate_of[j] for j in slots}
     blocks = 1 + 2 * len(slots)
@@ -255,17 +271,17 @@ def _row_cone_staircase(width: int, ops, angles: np.ndarray, slots: list[int]) -
     amps = np.zeros((blocks * s, 1 << width))
     amps[:, 0] = 1.0
     live = 1  # blocks
-    for g, op in enumerate(ops):
-        if op.kind is GateKind.CZ:
-            _row_cz(amps[: live * s], op.control, op.target)
+    for g, (target, control, slot) in enumerate(ops):
+        if control is not None:
+            _row_cz(amps[: live * s], control, target)
             continue
-        column = angles[:, op.angle_slot]
+        column = angles[:, slot]
         theta = np.tile(column, live)
         if g in opens:
             amps[live * s : (live + 2) * s].reshape(2, s, 1 << width)[:] = amps[:s]
             theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
             live += 2
-        _row_ry(amps[: live * s], op.target, theta)
+        _row_ry(amps[: live * s], target, theta)
     out = z_expectations_rows(amps * amps).reshape(blocks, s, width)
     rank = np.argsort(order)
     return out[np.concatenate([[0], np.stack([1 + 2 * rank, 2 + 2 * rank], axis=1).ravel()])]
@@ -280,7 +296,7 @@ def per_cone_sweep(ansatz, angles, slots=None):
     rows, n = angles.shape[0], ansatz.n_qubits
     out = np.empty((1 + 2 * len(shifted), rows, n))
     for qubits, ops, readout, local in walk_light_cones(n, ansatz.n_layers):
-        in_cone = {op.angle_slot for op in ops if op.kind is GateKind.RY}
+        in_cone = {slot for _, control, slot in ops if control is None}
         inside = [i for i, j in enumerate(shifted) if j in in_cone]
         part = _row_cone_staircase(len(qubits), ops, angles,
                                    [shifted[i] for i in inside])[:, :, local]
@@ -309,7 +325,7 @@ def walk_light_cones(n_qubits: int, n_layers: int):
     def cone(readout):
         live, gates = set(readout), []
         for g in reversed(range(len(ops))):
-            touched = {ops[g].target, ops[g].control} - {None}
+            touched = set(ops[g][:2]) - {None}
             if touched & live:
                 live |= touched
                 gates.append(g)
@@ -323,10 +339,8 @@ def walk_light_cones(n_qubits: int, n_layers: int):
     result = []
     for qubits, readout in groups.items():
         index = {q: i for i, q in enumerate(sorted(qubits))}
-        local_ops = tuple(
-            ops[g]._replace(target=index[ops[g].target],
-                            control=None if ops[g].control is None else index[ops[g].control])
-            for g in cone(readout)[1])
+        local_ops = tuple((index[target], None if control is None else index[control], slot)
+                          for target, control, slot in (ops[g] for g in cone(readout)[1]))
         result.append((tuple(index), local_ops, tuple(readout), tuple(index[q] for q in readout)))
     return tuple(result)
 
@@ -334,28 +348,28 @@ def walk_light_cones(n_qubits: int, n_layers: int):
 def walk_cone_stacks(n_qubits: int, n_layers: int):
     """The groups of `walk_light_cones` stacked as `cone_stacks` stacks
     them, in lists: one ``(width, gates, local, slots, readout)`` per set of
-    groups whose ``(kind, target, control)`` gates and local readout indices
+    groups whose ``(target, control)`` gates and local readout indices
     agree, in the order of each stack's first group."""
     stacks: dict[tuple, list] = {}
     for qubits, ops, readout, local in walk_light_cones(n_qubits, n_layers):
-        gates = tuple((op.kind, op.target, op.control) for op in ops)
-        slots = [op.angle_slot for op in ops if op.kind is GateKind.RY]
+        gates = tuple((target, control) for target, control, _ in ops)
+        slots = [slot for _, control, slot in ops if control is None]
         stacks.setdefault((len(qubits), gates, local), []).append((slots, list(readout)))
     return [(width, gates, list(local), [s for s, _ in members], [r for _, r in members])
             for (width, gates, local), members in stacks.items()]
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int):
-    """(ops, params) with RY and CZ gates drawn uniformly."""
+    """(ops, params) with RY and CZ ``(target, control, slot)`` gates drawn
+    uniformly."""
     ops = []
     params = []
     for _ in range(n_gates):
         if n_qubits >= 2 and rng.random() < 0.4:
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            ops.append(GateOp(kind=GateKind.CZ, target=int(b), control=int(a)))
+            ops.append((int(b), int(a), None))
         else:
-            ops.append(GateOp(kind=GateKind.RY, target=int(rng.integers(n_qubits)),
-                              angle_slot=len(params)))
+            ops.append((int(rng.integers(n_qubits)), None, len(params)))
             params.append(float(rng.uniform(-2 * np.pi, 2 * np.pi)))
     return ops, params
 
@@ -475,6 +489,18 @@ def full_sort_knn_scores(features, labels, k: int, queries) -> np.ndarray:
     d2 = ((queries[:, None, :] - features[None, :, :]) ** 2).sum(axis=2)
     votes = labels[np.argsort(d2, axis=1, kind="stable")[:, :k]]
     return np.stack([(votes == c).sum(axis=1) for c in range(N_CLASSES)], axis=1) / k
+
+
+def identity_normalizer(n_features: int = N_FEATURES) -> FeatureNormalizer:
+    """A normalizer that leaves features as they are: zero mean, unit scale."""
+    return FeatureNormalizer(mean=np.zeros(n_features), std=np.ones(n_features))
+
+
+def mish_grad(x: np.ndarray) -> np.ndarray:
+    """Mish'(x) by the package's backprop form, softplus and tanh computed
+    here rather than taken from a forward cache."""
+    sp = softplus(x)
+    return _mish_derivative(x, sp, np.tanh(sp))
 
 
 def logaddexp_mish(x: np.ndarray) -> np.ndarray:

@@ -18,16 +18,16 @@ import pytest
 from oracles import (
     central_difference,
     dense_shift_sweep,
+    dressed_gates,
+    identity_normalizer,
     pairwise_auc,
     random_circuit,
     run_circuit,
     simulate_dense,
 )
-from qpose.data import FeatureNormalizer
 from qpose.evaluation import binary_roc
 from qpose.neural import DnnConfig, dnn_init, n_params, softmax_cross_entropy
-from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, dressed_gates, z_from_angles
-from qpose.statevector import GateKind
+from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, z_from_angles
 
 RUNTIME_BUDGET_S = 15 * 60
 # sha256 of the fixture's facts.json and checkpoints per numpy version, SIMD
@@ -67,7 +67,7 @@ def test_ansatz_parameter_law(capsys):
         for layers in range(1, 5):
             ansatz = StdAnsatz(n, layers)
             want = 2 * (n - 1) * layers
-            ry_slots = sum(1 for op in dressed_gates(n, layers)[n:] if op.kind is GateKind.RY)
+            ry_slots = sum(1 for _, control, _ in dressed_gates(n, layers)[n:] if control is None)
             ok = ok and ansatz.n_theta == want and ry_slots == want
     ok = ok and StdAnsatz(10, 1).n_theta == 18
     report(capsys, "ansatz parameter law 2(n-1)L, 18 at n=10 L=1", ok)
@@ -114,7 +114,7 @@ def test_parameter_shift_matches_finite_differences(capsys):
     worst_shift = 0.0
     for n in (4, 5, 6):
         model = DressedQnnModel.create(
-            FeatureNormalizer.identity(n), StdAnsatz(n, 1), seed=n, n_features=n)
+            identity_normalizer(n), StdAnsatz(n, 1), seed=n, n_features=n)
         x = rng.normal(size=n)
         # full Jacobian of every readout over every angle slot, encoding and theta
         angles = np.concatenate([model.encoding_angles(x)[0], model.params["theta"]])
@@ -128,7 +128,7 @@ def test_parameter_shift_matches_finite_differences(capsys):
 
     # end-to-end hybrid loss gradient, every named parameter of a 4-qubit model
     model = DressedQnnModel.create(
-        FeatureNormalizer.identity(4), StdAnsatz(4, 1), seed=1, n_features=4)
+        identity_normalizer(4), StdAnsatz(4, 1), seed=1, n_features=4)
     x = rng.normal(size=4)
     label = 5
     _, grads = model.loss_and_grad(x, np.array([label]))
@@ -169,7 +169,7 @@ def test_transfer_freeze_is_bitwise(capsys):
     from qpose.training import TransferConfig, transfer_finetune
 
     rng = np.random.default_rng(3)
-    model = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(4, 1), seed=0)
+    model = DressedQnnModel.create(identity_normalizer(), StdAnsatz(4, 1), seed=0)
     draws = [(rng.normal(size=N_FEATURES), int(rng.integers(0, 8))) for _ in range(12)]
     few = Dataset(np.stack([x for x, _ in draws]), [label for _, label in draws],
                   [Domain.TARGET] * 12, [0] * 12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_sort_knn_scores, gnb_posteriors_direct
+from oracles import full_sort_knn_scores, gnb_posteriors_direct, identity_normalizer
 from rows import rows
 from qpose.baselines import _QUERY_CHUNK, GnbModel, KnnModel
 from qpose.data import FeatureNormalizer, N_CLASSES, N_FEATURES
@@ -27,7 +27,7 @@ def lift(points_2d):
 class TestKnn:
     def test_exact_match_k1(self):
         train = embed([(0, 0), (5, 5), (9, 1)], [2, 4, 6])
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=1)
+        m = KnnModel.fit(train, identity_normalizer(), k=1)
         scores = m.predict_proba(lift([(5, 5)]))
         assert scores[0, 4] == 1.0
         assert scores[0].sum() == 1.0
@@ -37,7 +37,7 @@ class TestKnn:
         pts = [(1, 0), (0, 2), (2, 0), (8, 8), (0, 1)]
         labels = [0, 1, 3, 3, 1]
         train = embed(pts, labels)
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=3)
+        m = KnnModel.fit(train, identity_normalizer(), k=3)
         scores = m.predict_proba(lift([(0, 0)]))[0]
         # distances: 1 (label 0), 1 (label 1), 2 (label 1 at (0,2)), 2 (label 3), 11.3
         assert scores[1] == pytest.approx(2 / 3)
@@ -49,7 +49,7 @@ class TestKnn:
         x_train = rng.normal(size=(30, N_FEATURES))
         y_train = rng.integers(0, N_CLASSES, 30)
         train = rows(x_train, y_train)
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=3)
+        m = KnnModel.fit(train, identity_normalizer(), k=3)
         queries = rng.normal(size=(10, N_FEATURES))
         scores = m.predict_proba(queries)
         for qi, q in enumerate(queries):
@@ -63,7 +63,7 @@ class TestKnn:
         x_train = rng.normal(size=(40, N_FEATURES)).round(1)
         y_train = rng.integers(0, N_CLASSES, 40)
         train = rows(x_train, y_train)
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=5)
+        m = KnnModel.fit(train, identity_normalizer(), k=5)
         queries = np.concatenate([rng.normal(size=(600, N_FEATURES)).round(1), x_train])
         d2 = ((queries[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
         votes = y_train[np.argsort(d2, axis=1, kind="stable")[:, :5]]
@@ -95,7 +95,7 @@ class TestKnn:
         x, queries = x * scale, queries * scale
         y = rng.integers(0, N_CLASSES, len(x))
         k = {"one": 1, "all": len(x), "any": int(rng.integers(1, len(x) + 1))}[k_pick]
-        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=k)
+        m = KnnModel.fit(rows(x, y), identity_normalizer(), k=k)
         assert np.array_equal(m.predict_proba(queries), full_sort_knn_scores(x, y, k, queries))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -104,7 +104,7 @@ class TestKnn:
         # for reference 0 only, and both exact distances overflow, so the
         # stable sort's tie-break picks reference 0
         x, y = lift([(-0.9e154, 0), (-0.5e154, 0)]), np.array([1, 2])
-        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=1)
+        m = KnnModel.fit(rows(x, y), identity_normalizer(), k=1)
         queries = lift([(0.9e154, 0)])
         assert np.array_equal(m.predict_proba(queries), full_sort_knn_scores(x, y, 1, queries))
         assert m.predict_proba(queries)[0, 1] == 1.0
@@ -116,7 +116,7 @@ class TestKnn:
         rng = np.random.default_rng(3)
         x = np.tile(rng.normal(size=(1, N_FEATURES)), (400, 1))
         y = rng.integers(0, N_CLASSES, 400)
-        m = KnnModel.fit(rows(x, y), FeatureNormalizer.identity(), k=5)
+        m = KnnModel.fit(rows(x, y), identity_normalizer(), k=5)
         queries = rng.normal(size=(_QUERY_CHUNK, N_FEATURES))
         tracemalloc.start()
         try:
@@ -131,7 +131,7 @@ class TestKnn:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(12, N_FEATURES))
         y = rng.integers(0, N_CLASSES, 12)
-        norm = FeatureNormalizer.identity()
+        norm = identity_normalizer()
         single = KnnModel.fit(rows(x, y), norm, k=2)
         doubled = KnnModel.fit(rows(np.concatenate([x, x]), np.concatenate([y, y])), norm, k=4)
         q = rng.normal(size=(6, N_FEATURES))
@@ -139,7 +139,7 @@ class TestKnn:
 
     def test_tie_breaks_to_smallest_class(self):
         train = embed([(1, 0), (-1, 0)], [5, 2])
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=2)
+        m = KnnModel.fit(train, identity_normalizer(), k=2)
         scores = m.predict_proba(lift([(0, 0)]))[0]
         assert scores[2] == scores[5] == 0.5
         assert np.argmax(scores) == 2
@@ -147,15 +147,15 @@ class TestKnn:
     def test_k_bounds(self):
         train = embed([(0, 0), (1, 1)], [0, 1])
         with pytest.raises(ValueError):
-            KnnModel.fit(train, FeatureNormalizer.identity(), k=3)
+            KnnModel.fit(train, identity_normalizer(), k=3)
         with pytest.raises(ValueError):
-            KnnModel.fit(train, FeatureNormalizer.identity(), k=0)
+            KnnModel.fit(train, identity_normalizer(), k=0)
 
     def test_rescale_invariance_at_argmax(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(25, N_FEATURES))
         y = rng.integers(0, N_CLASSES, 25)
-        norm = FeatureNormalizer.identity()
+        norm = identity_normalizer()
         base = rows(x, y)
         scaled = rows(x * 7.5, y)
         q = rng.normal(size=(8, N_FEATURES))
@@ -169,12 +169,12 @@ class TestKnn:
         y = rng.integers(0, N_CLASSES, 20)
         train = rows(x, y)
         q = rng.normal(size=(5, N_FEATURES))
-        m = KnnModel.fit(train, FeatureNormalizer.identity(), k=5)
+        m = KnnModel.fit(train, identity_normalizer(), k=5)
         assert (m.predict_proba(q) == m.predict_proba(q)).all()
 
 
 def gnb_from_arrays(x, y, norm=None):
-    return GnbModel.fit(rows(x, y), norm or FeatureNormalizer.identity())
+    return GnbModel.fit(rows(x, y), norm or identity_normalizer())
 
 
 class TestGnb:

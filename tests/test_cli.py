@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import identity_normalizer
 from qpose import cli
 from qpose.baselines import GnbModel, KnnModel
 from qpose.data import FeatureNormalizer
@@ -304,7 +305,7 @@ class TestEval:
     ])
     def test_malformed_checkpoint_error_document(self, dataset, tmp_path, capsys,
                                                  kind, section, field, value):
-        norm = FeatureNormalizer.identity()
+        norm = identity_normalizer()
         model = {
             "knn": lambda: KnnModel(np.zeros((4, 36)), np.arange(4), 3, norm),
             "qnn": lambda: DressedQnnModel.create(norm, StdAnsatz(3, 1)),
@@ -326,7 +327,7 @@ class TestEval:
     def test_checkpoint_over_the_amplitude_limit_error_document(self, dataset, tmp_path,
                                                                capsys):
         # 30 qubits at 8 layers is one group of 2^30 amplitudes, 8 GiB a state
-        doc = checkpoint_dict(DressedQnnModel.create(FeatureNormalizer.identity(),
+        doc = checkpoint_dict(DressedQnnModel.create(identity_normalizer(),
                                                      StdAnsatz(30, 1)))
         doc["config"]["n_layers"] = 8
         doc["params"]["theta"] = [0.0] * (2 * 29 * 8)
@@ -346,7 +347,7 @@ class TestEval:
         config = DnnConfig(n_features=5, n_classes=3, hidden=9, n_blocks=1)
         path = tmp_path / "dnn.json"
         path.write_text(json.dumps(checkpoint_dict(
-            DnnModel.create(FeatureNormalizer.identity(), config=config))), encoding="utf-8")
+            DnnModel.create(identity_normalizer(), config=config))), encoding="utf-8")
         proc = run_proc([command, "--data", str(dataset), "--checkpoint", str(path),
                          "--out-dir", str(tmp_path / "e")])
         assert proc.returncode == 1
@@ -563,6 +564,18 @@ class TestHarness:
         assert threads[False]["OPENBLAS_NUM_THREADS"] == "8"
         assert threads[False]["OMP_NUM_THREADS"] == "4"
         assert set(threads[True].values()) == {"1"}
+
+    def test_abbreviated_deterministic_pins_the_threads(self, tmp_path):
+        # argparse accepts --det as --deterministic, so it must pin BLAS too
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "8"}
+        out = tmp_path / "g"
+        proc = run_proc(["gen", "--seed", "1", "--n-source", "24", "--n-target", "24",
+                         "--out", str(tmp_path / "d.csv"), "--det", "--out-dir", str(out)],
+                        env=env)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "gen_metadata.json").read_text())
+        assert doc["deterministic"] is True
+        assert doc["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_deterministic_in_process_keeps_and_records_loaded_threads(self, tmp_path,
                                                                         monkeypatch, capsys):

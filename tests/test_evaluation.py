@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_binary_roc, pairwise_auc
+from oracles import identity_normalizer, loop_binary_roc, pairwise_auc
 from rows import rows
 from qpose.data import (
     Domain,
-    FeatureNormalizer,
     N_CLASSES,
     N_FEATURES,
     ShiftSpec,
@@ -234,7 +233,7 @@ class TestEvaluateScores:
 class TestCurve:
     @staticmethod
     def knn_factory(samples, seed):
-        return KnnModel.fit(samples, FeatureNormalizer.identity(),
+        return KnnModel.fit(samples, identity_normalizer(),
                             k=min(5, len(samples)))
 
     def curve_fixture(self):
@@ -299,7 +298,7 @@ class TestWriters:
         report = self.report_fixture()
         path = tmp_path / "confusion.csv"
         write_confusion_csv(report, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         body = [r for r in rows if r and not r[0].startswith("#")]
         data = body[1:] if not body[0][0].lstrip("-").isdigit() else body
         assert len(data) == N_CLASSES
@@ -312,7 +311,7 @@ class TestWriters:
         for c in range(N_CLASSES):
             path = tmp_path / f"roc_class_{c}.csv"
             assert path.exists()
-            rows = list(csv.DictReader(path.open()))
+            rows = list(csv.DictReader(path.read_text().splitlines()))
             fpr = [float(r["fpr"]) for r in rows]
             tpr = [float(r["tpr"]) for r in rows]
             assert fpr[0] == tpr[0] == 0.0
@@ -334,6 +333,6 @@ class TestWriters:
         )
         path = tmp_path / "curve.csv"
         write_curve_csv(points, path)
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert [int(r["n_labeled"]) for r in rows] == [8, 16]
         assert all("mean_acc" in r and "std_acc" in r for r in rows)

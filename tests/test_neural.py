@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import central_difference, logaddexp_mish, logaddexp_mish_grad
-from qpose.data import FeatureNormalizer
+from oracles import (central_difference, identity_normalizer, logaddexp_mish,
+                     logaddexp_mish_grad, mish_grad)
 from qpose.neural import (
     AdamW,
     DnnConfig,
@@ -19,7 +19,6 @@ from qpose.neural import (
     dnn_init,
     linear_init,
     mish,
-    mish_grad,
     n_params,
     softmax,
     softmax_cross_entropy,
@@ -147,7 +146,7 @@ class TestDnn:
         assert cache["h_out"].shape == (4, 100)
 
     def test_nonfinite_input_rejected(self):
-        m = DnnModel.create(FeatureNormalizer.identity(), seed=0)
+        m = DnnModel.create(identity_normalizer(), seed=0)
         with pytest.raises(ValueError):
             m.logits(np.array([[np.inf] + [0.0] * 35]))
 
@@ -202,7 +201,7 @@ class TestDnn:
         assert scored.tobytes() == trained.tobytes()
 
     def test_scoring_keeps_no_per_layer_cache(self):
-        m = DnnModel.create(FeatureNormalizer.identity(), seed=16)
+        m = DnnModel.create(identity_normalizer(), seed=16)
         x = np.random.default_rng(17).normal(size=(4000, 36))
         m.predict_proba(x[:10])
         tracemalloc.start()
@@ -215,7 +214,7 @@ class TestDnn:
         assert peak <= 6 * 4000 * 100 * 8, peak
 
     def test_predict_proba_rows_sum_to_one(self):
-        m = DnnModel.create(FeatureNormalizer.identity(), seed=5)
+        m = DnnModel.create(identity_normalizer(), seed=5)
         proba = m.predict_proba(np.random.default_rng(1).normal(size=(6, 36)))
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-12)
         assert (proba >= 0).all()

@@ -11,8 +11,10 @@ import oracles
 from oracles import (
     apply_ry,
     central_difference,
+    dressed_gates,
     expectation_z,
     full_width_sweep,
+    identity_normalizer,
     per_cone_sweep,
     run_circuit,
     simulate_dense,
@@ -20,7 +22,6 @@ from oracles import (
     walk_light_cones,
     z_expectation_dense,
 )
-from qpose.data import FeatureNormalizer
 from qpose import quantum_classifier
 from qpose.neural import softmax_cross_entropy
 from qpose.quantum_classifier import (
@@ -28,17 +29,15 @@ from qpose.quantum_classifier import (
     DressedQnnModel,
     StdAnsatz,
     cone_stacks,
-    dressed_gates,
     evaluation_count,
-    reset_evaluation_count,
     z_from_angles,
 )
-from qpose.statevector import GateKind, zero_states
+from qpose.statevector import zero_states
 
 
 def small_model(n_qubits=4, n_layers=1, seed=0):
     return DressedQnnModel.create(
-        FeatureNormalizer.identity(n_qubits),
+        identity_normalizer(n_qubits),
         StdAnsatz(n_qubits, n_layers),
         seed=seed,
         n_features=n_qubits,
@@ -60,8 +59,7 @@ class TestStdAnsatz:
         for n in range(2, 13):
             for layers in range(1, 5):
                 ansatz = StdAnsatz(n, layers)
-                ops = dressed_gates(n, layers)
-                slots = [op.angle_slot for op in ops if op.kind is GateKind.RY]
+                slots = [slot for _, control, slot in dressed_gates(n, layers) if control is None]
                 assert ansatz.n_theta == 2 * (n - 1) * layers
                 assert slots[:n] == list(range(n))  # encoding, then the ansatz
                 assert sorted(slots[n:]) == list(range(n, ansatz.n_slots))
@@ -71,11 +69,10 @@ class TestStdAnsatz:
 
     def test_block_structure(self):
         # layer of n=4: CZ(0,1) RY RY CZ(2,3) RY RY, then CZ(1,2) RY RY
-        kinds = [op.kind for op in dressed_gates(4, 1)[4:]]
-        assert kinds == [
-            GateKind.CZ, GateKind.RY, GateKind.RY,
-            GateKind.CZ, GateKind.RY, GateKind.RY,
-            GateKind.CZ, GateKind.RY, GateKind.RY,
+        assert dressed_gates(4, 1)[4:] == [
+            (1, 0, None), (0, None, 4), (1, None, 5),
+            (3, 2, None), (2, None, 6), (3, None, 7),
+            (2, 1, None), (1, None, 8), (2, None, 9),
         ]
 
     def test_odd_qubit_count(self):
@@ -131,7 +128,7 @@ class TestForward:
         np.testing.assert_allclose(m.logits(x)[0], logits_oracle, atol=1e-10)
 
     def test_parameter_counts_canonical_model(self):
-        m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1))
+        m = DressedQnnModel.create(identity_normalizer(), StdAnsatz(10, 1))
         assert m.param_counts() == {"quantum_params": 18, "classical_params": 458,
                                     "total_params": 476}
 
@@ -235,7 +232,7 @@ class TestParamShift:
                 calls[name] = calls.get(name, 0) + 1
                 return kernel(*args)
             monkeypatch.setattr(quantum_classifier, name, counting)
-        m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1), seed=1)
+        m = DressedQnnModel.create(identity_normalizer(), StdAnsatz(10, 1), seed=1)
         m.loss_and_grad(np.ones((1, 36)), np.array([0]))
         assert calls == {"ry_rows": 14, "cz_rows": 5, "z_expectations_rows": 3}
 
@@ -243,10 +240,9 @@ class TestParamShift:
         # one sample's full gradient: 1 + 2K circuits, K = 2(n-1)L + n slots
         for n, layers in ((10, 1), (4, 2), (3, 3)):
             m = small_model(n_qubits=n, n_layers=layers, seed=1)
-            reset_evaluation_count()
+            before = evaluation_count()
             m.loss_and_grad(np.ones((1, n)), np.array([0]))
-            assert evaluation_count() == 1 + 2 * (2 * (n - 1) * layers + n)
-        reset_evaluation_count()
+            assert evaluation_count() - before == 1 + 2 * (2 * (n - 1) * layers + n)
 
 
 def explicit_shift_rows(rows, slots):
@@ -290,11 +286,10 @@ class TestStaircaseSweep:
     def test_counts_each_circuit_once(self):
         ansatz = StdAnsatz(3, 2)
         rows = np.zeros((4, ansatz.n_slots))
-        reset_evaluation_count()
+        before = evaluation_count()
         z, z_plus, _ = z_from_angles(ansatz, rows, slots=[5, 0, 2])
-        assert evaluation_count() == 4 * (1 + 2 * 3)
+        assert evaluation_count() - before == 4 * (1 + 2 * 3)
         assert z.shape == (4, 3) and z_plus.shape == (4, 3, 3)
-        reset_evaluation_count()
 
     def test_slot_validation(self):
         ansatz = StdAnsatz(2, 1)
@@ -305,12 +300,11 @@ class TestStaircaseSweep:
 
     @pytest.mark.parametrize("needed, per_sample", [(None, 57), ({"theta"}, 37)])
     def test_closed_form_cost_at_default_size(self, needed, per_sample):
-        m = DressedQnnModel.create(FeatureNormalizer.identity(), StdAnsatz(10, 1), seed=2)
+        m = DressedQnnModel.create(identity_normalizer(), StdAnsatz(10, 1), seed=2)
         x = np.random.default_rng(3).normal(size=(3, 36))
-        reset_evaluation_count()
+        before = evaluation_count()
         m.loss_and_grad(x, np.array([0, 4, 7]), needed=needed)
-        assert evaluation_count() == 3 * per_sample
-        reset_evaluation_count()
+        assert evaluation_count() - before == 3 * per_sample
 
 
 def chunk_edge_rows(ansatz, slots):
@@ -318,7 +312,7 @@ def chunk_edge_rows(ansatz, slots):
     shifted = set(range(ansatz.n_slots) if slots is None else slots)
     chunks = []
     for qubits, ops, _, _ in walk_light_cones(ansatz.n_qubits, ansatz.n_layers):
-        blocks = 1 + 2 * sum(op.angle_slot in shifted for op in ops if op.kind is GateKind.RY)
+        blocks = 1 + 2 * sum(slot in shifted for _, control, slot in ops if control is None)
         chunks.append(max(1, quantum_classifier._CHUNK_AMPLITUDES // (blocks << len(qubits))))
     return max(chunks) + 1
 
@@ -415,18 +409,18 @@ class TestStackedSweep:
                 qubits, group_ops = groups[tuple(qubits_out)]
                 assert len(qubits) == width
                 assert [qubits[i] for i in local] == list(qubits_out)
-                ry_slots = [op.angle_slot for op in group_ops if op.kind is GateKind.RY]
+                ry_slots = [slot for _, control, slot in group_ops if control is None]
                 assert ry_slots == list(slots)
-                assert [(op.kind, op.target, op.control) for op in group_ops] == list(gates)
+                assert [(target, control) for target, control, _ in group_ops] == list(gates)
 
 
 def forward_reach(ops, g):
     """Qubits gate g can influence: its own, spread by every later CZ that
     touches one of them."""
-    reach = {ops[g].target, ops[g].control} - {None}
-    for op in ops[g + 1:]:
-        if op.kind is GateKind.CZ and {op.control, op.target} & reach:
-            reach |= {op.control, op.target}
+    reach = set(ops[g][:2]) - {None}
+    for target, control, _ in ops[g + 1:]:
+        if control is not None and {control, target} & reach:
+            reach |= {control, target}
     return reach
 
 
@@ -470,21 +464,18 @@ class TestLightCone:
         # the set walk's groups, which test_interval_cones_equal_the_set_walk
         # ties to cone_stacks
         ops = dressed_gates(n, layers)
-        full = [(op.kind, op.target, op.control, op.angle_slot) for op in ops]
         groups = walk_light_cones(n, layers)
         assert sorted(q for _, _, readout, _ in groups for q in readout) == list(range(n))
         for qubits, local_ops, readout, local in groups:
             assert [qubits[i] for i in local] == list(readout)
-            as_global = [(op.kind, qubits[op.target],
-                          None if op.control is None else qubits[op.control], op.angle_slot)
-                         for op in local_ops]
+            as_global = [(qubits[target], None if control is None else qubits[control], slot)
+                         for target, control, slot in local_ops]
             needed = [g for g in range(len(ops)) if forward_reach(ops, g) & set(readout)]
-            reached = set(readout).union(*({ops[g].target, ops[g].control} - {None}
-                                           for g in needed))
+            reached = set(readout).union(*(set(ops[g][:2]) - {None} for g in needed))
             # every gate that can move a readout is in the group, in circuit
             # order, and touches only the cone's qubits
-            assert is_subsequence([full[g] for g in needed], as_global)
-            assert is_subsequence(as_global, full)
+            assert is_subsequence([ops[g] for g in needed], as_global)
+            assert is_subsequence(as_global, ops)
             assert reached <= set(qubits)
             assert len(groups) == 1 or reached == set(qubits)
 
@@ -501,7 +492,7 @@ class TestLightCone:
         ops = dressed_gates(n, layers)
         assert width == n and local.tolist() == list(range(n))
         assert readout.tolist() == [list(range(n))]
-        assert gates == tuple((op.kind, op.target, op.control) for op in ops)
+        assert gates == tuple((target, control) for target, control, _ in ops)
         assert slots.tolist() == [list(range(StdAnsatz(n, layers).n_slots))]
 
     @pytest.mark.parametrize("layers, amplitudes", [(1, 72), (2, 672)])
@@ -582,12 +573,11 @@ class TestBackward:
         m = small_model(n_qubits=4, n_layers=1, seed=3)
         x = np.random.default_rng(0).normal(size=(5, 4))
         y = np.array([0, 1, 2, 3, 4])
-        reset_evaluation_count()
+        before = evaluation_count()
         _, grads = m.loss_and_grad(x, y, needed={"theta", "out.w", "out.b"})
         # 5 forward rows plus 5 * 2 * n_theta shifted rows, no encoding shifts
-        assert evaluation_count() == 5 * (1 + 2 * m.ansatz.n_theta)
+        assert evaluation_count() - before == 5 * (1 + 2 * m.ansatz.n_theta)
         assert set(grads) == {"theta", "out.w", "out.b"}
-        reset_evaluation_count()
 
     def test_batched_full_gradient_matches_sum_of_singles(self):
         rng = np.random.default_rng(14)

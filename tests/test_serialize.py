@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import identity_normalizer
 from qpose.baselines import GnbModel, KnnModel
 from qpose.data import (
     Domain,
@@ -217,7 +218,7 @@ class TestValidation:
     def test_dnn_dimensions_must_match_the_data(self, field, value):
         # consistent with its own params, but not with 36 features and 8 classes
         config = DnnConfig(**{field: value}, hidden=9, n_blocks=1)
-        doc = checkpoint_dict(DnnModel.create(FeatureNormalizer.identity(), config=config))
+        doc = checkpoint_dict(DnnModel.create(identity_normalizer(), config=config))
         with pytest.raises(CheckpointError, match=rf"config\.{field} is {value}, expected"):
             model_from_dict(doc)
 

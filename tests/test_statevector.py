@@ -17,7 +17,7 @@ from oracles import (
     simulate_dense,
     z_expectation_dense,
 )
-from qpose.statevector import cz, cz_rows, ry, ry_rows, z_expectations_rows, zero_states
+from qpose.statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
@@ -124,10 +124,12 @@ class TestRunCircuit:
 
     def test_little_endian_indexing(self):
         # half-turn on qubit 0 of two qubits lands on basis index 1
-        s = run_circuit(2, [ry(0, 0)], [np.pi])
+        s = run_circuit(2, [(0, None, 0)], [np.pi])
         np.testing.assert_allclose(s, [0, 1.0, 0, 0], atol=1e-12)
 
-    @pytest.mark.parametrize("op", [ry(-1, 0), ry(2, 0), cz(-1, 0), cz(0, 2), cz(1, 1)])
+    # (target, control, slot): two RYs, then CZs with a bad control, target, or both alike
+    @pytest.mark.parametrize("op", [(-1, None, 0), (2, None, 0), (0, -1, None), (2, 0, None),
+                                    (1, 1, None)])
     def test_bad_qubit_rejected_when_the_gate_runs(self, op):
         with pytest.raises(IndexError):
             run_circuit(2, [op], [0.3])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import identity_normalizer
 from rows import rows
 from qpose.data import (
     Dataset,
@@ -30,7 +31,7 @@ from qpose.training import (
 
 def small_dnn(seed=0):
     cfg = DnnConfig(hidden=12, n_blocks=1)
-    return DnnModel.create(FeatureNormalizer.identity(), config=cfg, seed=seed)
+    return DnnModel.create(identity_normalizer(), config=cfg, seed=seed)
 
 
 def zero_rows(n=1):
