@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNormalizer,
-                   check_int_fields, checkpoint_arrays, features_matrix)
+                   check_config, checkpoint_arrays, features_matrix)
 
 # Query rows per distance block: bounds the (rows, references) gemm and
 # shortlist temporaries instead of letting them grow with the query count;
@@ -78,7 +78,7 @@ class KnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "KnnModel":
-        check_int_fields(config, ("k",))
+        check_config(cls.kind, config, ("k",))
         arrays = checkpoint_arrays("params", params,
                                    {"features": (None, N_FEATURES), "labels": (None,)})
         labels = arrays["labels"]
@@ -175,6 +175,7 @@ class GnbModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "GnbModel":
+        check_config(cls.kind, config, ())
         shapes = {"priors": (N_CLASSES,), "means": (N_CLASSES, N_FEATURES),
                   "variances": (N_CLASSES, N_FEATURES)}
         arrays = checkpoint_arrays("params", params, shapes)

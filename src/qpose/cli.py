@@ -171,13 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _train_config(args, seed: int):
+    """The `TrainConfig` of the optimizer flags of ``args``."""
+    from .training import TrainConfig
+
+    return TrainConfig(batch_size=args.batch_size, epochs=args.epochs, lr=args.lr,
+                       weight_decay=args.weight_decay, seed=seed)
+
+
 def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
     """``fit_model`` with the model and optimizer flags of ``args``."""
-    from .training import TrainConfig, fit_model
+    from .training import fit_model
 
-    config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs, lr=args.lr,
-                         weight_decay=args.weight_decay, seed=seed)
-    return fit_model(args.model, samples, config=config, qubits=args.qubits,
+    return fit_model(args.model, samples, config=_train_config(args, seed), qubits=args.qubits,
                      layers=args.layers, k=k, eval_samples=eval_samples)
 
 
@@ -252,9 +258,10 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
     split = split_labeled(dataset, Domain.SOURCE, fraction=fraction, count=args.labeled_count,
                           seed=args.seed)
     if not split.labeled:
-        raise ValueError("labeled source split is empty; raise --labeled-fraction")
-    model, trace = _fit(args, split.labeled, args.seed, k=args.k,
-                        eval_samples=split.evaluation or None)
+        flag = "--labeled-count" if fraction is None else "--labeled-fraction"
+        raise ValueError(f"labeled source split is empty; raise {flag}")
+    model, losses = _fit(args, split.labeled, args.seed, k=args.k,
+                         eval_samples=split.evaluation or None)
 
     summary = {"model": args.model}
     if hasattr(model, "param_counts"):
@@ -264,9 +271,9 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
     target = dataset.by_domain(Domain.TARGET)
     if target:
         summary["cross_domain"] = evaluate(model, target).to_dict()
-    if trace is not None:
-        summary["final_train_loss"] = trace.losses[-1] if trace.losses else None
-        summary["epochs_run"] = len(trace.records)
+    if losses is not None:
+        summary["final_train_loss"] = losses[-1] if losses else None
+        summary["epochs_run"] = len(losses)
 
     save_checkpoint(model, out_dir / "checkpoint.json")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -284,30 +291,19 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
 
 def cmd_transfer(args, dataset, out_dir: Path) -> dict:
     from .serialize import load_checkpoint, save_checkpoint
-    from .training import TransferConfig, run_repeated
+    from .training import run_repeated
 
     model = load_checkpoint(args.checkpoint)
     if not hasattr(model, "transfer_frozen"):
         raise ValueError(f"model kind `{model.kind}` does not support fine-tuning")
 
-    samples = args.samples
-    fraction = args.fraction
-    if samples is None and fraction is None:
-        fraction = 0.10
-    config = TransferConfig(
-        n_transfer=samples,
-        transfer_fraction=fraction,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        resample=args.mode == "resample",
-    )
-    result, models = run_repeated(model, dataset, config, n_repeats=args.repeats)
+    fraction = 0.10 if args.samples is None and args.fraction is None else args.fraction
+    doc, models = run_repeated(model, dataset, _train_config(args, args.seed),
+                               count=args.samples, fraction=fraction,
+                               resample=args.mode == "resample", n_repeats=args.repeats)
 
     save_checkpoint(models[0], out_dir / "transfer_checkpoint.json")
-    doc = result.to_dict() | {"mode": args.mode}
+    doc["mode"] = args.mode
     (out_dir / "transfer_summary.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )

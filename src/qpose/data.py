@@ -156,20 +156,27 @@ class CheckpointError(ValueError):
     """Malformed or unsupported checkpoint document; names the bad field."""
 
 
+def _check_names(section: str, doc, names) -> None:
+    """Require ``doc`` to be an object holding exactly ``names``; errors
+    start with ``section``."""
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{section} must be an object")
+    extra = sorted(set(doc) - set(names))
+    if extra:
+        raise CheckpointError(f"{section} has unexpected names {extra}")
+    missing = next((name for name in names if name not in doc), None)
+    if missing is not None:
+        raise CheckpointError(f"{section}.{missing} is missing")
+
+
 def checkpoint_arrays(section: str, doc, shapes: dict) -> dict[str, np.ndarray]:
     """Finite float64 arrays for exactly the names in ``shapes``, in that
     order. A None in a shape matches any length. Model classes restore
     their checkpoint sections through this."""
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint field {section} must be an object")
-    extra = sorted(set(doc) - set(shapes))
-    if extra:
-        raise CheckpointError(f"checkpoint field {section} has unexpected names {extra}")
+    _check_names(f"checkpoint field {section}", doc, shapes)
     arrays = {}
     for name, shape in shapes.items():
         field = f"{section}.{name}"
-        if name not in doc:
-            raise CheckpointError(f"checkpoint field {field} is missing")
         try:
             arr = np.array(doc[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -183,16 +190,17 @@ def checkpoint_arrays(section: str, doc, shapes: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
-def check_int_fields(config, names) -> None:
-    """Reject a present ``config.<name>`` that is not an integer. JSON
-    floats (2.0 included) and booleans are refused here, before they reach
-    a ``range`` or an array shape; absent fields are left to the model."""
+def check_config(kind: str, config, names) -> None:
+    """Require a ``kind`` checkpoint's config to be an object holding
+    exactly the integer fields ``names``. JSON floats (2.0 included) and
+    booleans are refused here, before they reach a ``range`` or an array
+    shape; errors name the kind and the field."""
+    section = f"{kind} checkpoint field config"
+    _check_names(section, config, names)
     for name in names:
-        if isinstance(config, dict) and name in config:
-            value = config[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise CheckpointError(f"checkpoint field config.{name} must be an integer,"
-                                      f" got {value!r}")
+        if type(config[name]) is not int:
+            raise CheckpointError(f"{section}.{name} must be an integer,"
+                                  f" got {config[name]!r}")
 
 
 def _check_scale(name: str, value: float) -> None:

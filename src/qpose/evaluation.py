@@ -168,7 +168,6 @@ class CurvePoint:
     n_labeled: int
     mean_accuracy: float
     std_accuracy: float
-    accuracies: tuple[float, ...]
 
 
 def accuracy_vs_samples_curve(
@@ -207,14 +206,8 @@ def accuracy_vs_samples_curve(
             model = model_factory(subset, subset_seed)
             accs.append(accuracy_of(model, eval_samples))
         arr = np.array(accs)
-        points.append(
-            CurvePoint(
-                n_labeled=g,
-                mean_accuracy=float(arr.mean()),
-                std_accuracy=float(arr.std()),
-                accuracies=tuple(accs),
-            )
-        )
+        points.append(CurvePoint(n_labeled=g, mean_accuracy=float(arr.mean()),
+                                 std_accuracy=float(arr.std())))
     return points
 
 

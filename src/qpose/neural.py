@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, check_int_fields,
+from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, check_config,
                    checkpoint_arrays)
 
 
@@ -187,7 +187,7 @@ class DnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DnnModel":
-        check_int_fields(config, [f.name for f in fields(DnnConfig)])
+        check_config(cls.kind, config, [f.name for f in fields(DnnConfig)])
         config = DnnConfig(**config)
         for name, want in (("n_features", N_FEATURES), ("n_classes", N_CLASSES)):
             if getattr(config, name) != want:

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import (CheckpointError, FeatureNormalizer, N_CLASSES, N_FEATURES,
-                   check_int_fields, checkpoint_arrays)
+                   check_config, checkpoint_arrays)
 from .neural import linear_init, n_params, softmax, softmax_cross_entropy
 from .statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
 
@@ -369,7 +369,7 @@ class DressedQnnModel:
 
     @classmethod
     def from_checkpoint(cls, config: dict, params: dict, normalizer) -> "DressedQnnModel":
-        check_int_fields(config, ("n_qubits", "n_layers"))
+        check_config(cls.kind, config, ("n_qubits", "n_layers"))
         n, layers = config["n_qubits"], config["n_layers"]
         # shapes first: a register no parameters were saved for builds no gates
         shapes = {"in.w": (N_FEATURES, n), "in.b": (n,), "theta": (2 * (n - 1) * layers,),

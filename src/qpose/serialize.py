@@ -9,10 +9,11 @@ One JSON schema covers every model kind:
 A kind is registered in `KINDS` (kind -> model class). This module owns the
 envelope; each class writes its `config` and `params` sections in
 `checkpoint_sections()` and restores itself in `from_checkpoint`. Loading
-validates: integer config fields, a DNN config of 36 features and 8 classes,
-parameter names and shapes against the config, finite values, a (36,)
-normalizer with std > 0, kNN labels in 0..7, positive GNB priors; a
-violation raises `CheckpointError` naming the field.
+validates: an integer format_version, a config of exactly the kind's integer
+fields, a DNN config of 36 features and 8 classes, parameter names and shapes
+against the config, finite values, a (36,) normalizer with std > 0, kNN
+labels in 0..7, positive GNB priors; a violation raises `CheckpointError`
+naming the field.
 
 JSON float serialization uses repr, which round-trips float64 exactly, so a
 saved and reloaded model is bitwise identical. Run metadata records
@@ -72,8 +73,8 @@ def model_from_dict(doc: dict):
         norm_doc = doc["normalizer"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"missing checkpoint field: {exc}") from exc
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported format_version {version}")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format_version {version!r}")
     if not isinstance(kind, str) or kind not in KINDS:
         raise CheckpointError(f"unknown model kind `{kind}`")
     normalizer = FeatureNormalizer(

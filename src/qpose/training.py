@@ -3,10 +3,10 @@
 `fit_model` is the one place that builds a model by kind: it fits the
 normalizer, creates the model and pretrains it when the kind trains. Both
 pretraining and fine-tuning run one mini-batch loop, configured by a
-`TrainConfig` (`TransferConfig` adds the choice of the few-shot subset), and
-reach the model only through `loss_and_grad` and `predict_proba`. A
-non-finite loss, gradient, optimizer moment, parameter or per-epoch
-evaluation score stops the loop with `NonFiniteLossError`.
+`TrainConfig`, reach the model only through `loss_and_grad` and
+`predict_proba`, and return the per-epoch mean batch losses. A non-finite
+loss, gradient, optimizer moment, parameter or per-epoch evaluation score
+stops the loop with `NonFiniteLossError`.
 
 The transfer protocol: a model pretrained on the source domain is fine-tuned
 on a small labeled target subset while the parameters its kind lists in
@@ -17,16 +17,17 @@ fixed. Frozen parameters are bitwise invariant, not merely small-gradient.
 Optimizer moments are reset when fine-tuning starts: the pretraining moments
 describe curvature of layers that no longer move.
 
-`run_repeated` reruns the fine-tuning several times to report mean and
-standard deviation; repeats differ only in the seeds spawned from the
-config's seed, either resampling the transfer subset each time (default) or
-keeping the subset and reshuffling batches.
+`run_repeated` reruns the fine-tuning several times and returns the mean and
+standard deviation over the repeats as one JSON-ready dict; repeats differ
+only in the seeds spawned from the config's seed, either resampling the
+transfer subset each time (default) or keeping the subset and reshuffling
+batches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,44 +55,6 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
-@dataclass(frozen=True)
-class TransferConfig(TrainConfig):
-    """Few-shot fine-tuning settings. Exactly one of n_transfer /
-    transfer_fraction picks the labeled target subset size; the model kind
-    decides which parameters stay frozen."""
-
-    epochs: int = 50
-    n_transfer: int | None = None
-    transfer_fraction: float | None = None
-    resample: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if (self.n_transfer is None) == (self.transfer_fraction is None):
-            raise ValueError("give exactly one of n_transfer or transfer_fraction")
-        if self.n_transfer is not None and self.n_transfer < 1:
-            raise ValueError("n_transfer must be >= 1")
-        if self.transfer_fraction is not None and not 0.0 < self.transfer_fraction <= 1.0:
-            raise ValueError("transfer_fraction must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    mean_batch_loss: float
-    eval_accuracy: float
-
-
-@dataclass
-class TrainTrace:
-    records: list[EpochRecord] = field(default_factory=list)
-    total_steps: int = 0
-
-    @property
-    def losses(self) -> list[float]:
-        return [r.mean_batch_loss for r in self.records]
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -126,12 +89,12 @@ def _step(model, optimizer: AdamW, x, y, needed) -> tuple[float, str | None]:
     return loss, None
 
 
-def _sgd_epochs(model, data: Dataset, config: TrainConfig, frozen, eval_data) -> TrainTrace:
-    """Shared mini-batch loop. The last incomplete batch is kept; per-epoch
-    loss is the mean over batch losses. A step that yields a non-finite
-    loss, gradient, moment or parameter, or an epoch whose evaluation scores
-    come out non-finite, raises `NonFiniteLossError` naming it, before the
-    model is used again."""
+def _sgd_epochs(model, data: Dataset, config: TrainConfig, frozen, eval_data) -> list[float]:
+    """Shared mini-batch loop; returns the per-epoch mean batch losses. The
+    last incomplete batch is kept. A step that yields a non-finite loss,
+    gradient, moment or parameter, or an epoch whose evaluation scores come
+    out non-finite, raises `NonFiniteLossError` naming it, before the model
+    is used again."""
     x = features_matrix(data)
     y = data.labels
     n = len(data)
@@ -139,7 +102,8 @@ def _sgd_epochs(model, data: Dataset, config: TrainConfig, frozen, eval_data) ->
     optimizer = AdamW(lr=config.lr, weight_decay=config.weight_decay, frozen=frozen)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     diverged = f" (lr {config.lr:g}); training diverged"
-    trace = TrainTrace()
+    losses = []
+    step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
@@ -147,26 +111,26 @@ def _sgd_epochs(model, data: Dataset, config: TrainConfig, frozen, eval_data) ->
             idx = order[start : start + config.batch_size]
             loss, bad = _step(model, optimizer, x[idx], y[idx], needed)
             if bad is not None:
-                raise NonFiniteLossError(f"{bad} at epoch {epoch}, step {trace.total_steps}"
-                                         + diverged)
-            trace.total_steps += 1
+                raise NonFiniteLossError(f"{bad} at epoch {epoch}, step {step}" + diverged)
+            step += 1
             batch_losses.append(loss)
+        # scoring the epoch is the divergence check for a finite runaway
+        # model whose scores overflow; the accuracy itself is not kept
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                accuracy = accuracy_of(model, eval_data or data)
+                accuracy_of(model, eval_data or data)
             except ValueError as exc:
                 raise NonFiniteLossError(f"evaluation {exc} at epoch {epoch}" + diverged) from exc
-        trace.records.append(EpochRecord(epoch=epoch,
-                                         mean_batch_loss=float(np.mean(batch_losses)),
-                                         eval_accuracy=accuracy))
-    return trace
+        losses.append(float(np.mean(batch_losses)))
+    return losses
 
 
-def pretrain(model, labeled: Dataset, config: TrainConfig, eval_samples=None) -> TrainTrace:
-    """Train ``model`` in place on the labeled source subset.
+def pretrain(model, labeled: Dataset, config: TrainConfig, eval_samples=None) -> list[float]:
+    """Train ``model`` in place on the labeled source subset; returns the
+    per-epoch mean batch losses.
 
-    Per-epoch accuracy in the trace is measured on ``eval_samples`` when
-    given, else on the training subset itself.
+    Each epoch ends by scoring ``eval_samples`` when given, else the
+    training subset itself, as the divergence check.
     """
     if not labeled:
         raise ValueError("cannot pretrain on an empty labeled subset")
@@ -179,7 +143,8 @@ def fit_model(kind: str, samples: Dataset, *, config: TrainConfig, qubits: int =
     them. kNN and GNB are fitted directly; the DNN and the QNN are
     initialized from ``config.seed`` and pretrained.
 
-    Returns ``(model, trace)``, with trace None for kNN and GNB.
+    Returns ``(model, losses)``, the per-epoch losses of `pretrain`, with
+    losses None for kNN and GNB.
     """
     normalizer = FeatureNormalizer.fit(samples)
     if kind == "knn":
@@ -196,85 +161,56 @@ def fit_model(kind: str, samples: Dataset, *, config: TrainConfig, qubits: int =
     return model, pretrain(model, samples, config, eval_samples=eval_samples)
 
 
-def transfer_finetune(model, fewshot, config: TransferConfig) -> TrainTrace:
+def transfer_finetune(model, fewshot: Dataset, config: TrainConfig) -> list[float]:
     """Fine-tune ``model`` in place on few-shot target labels with the model
     kind's parameters in ``transfer_frozen`` held fixed and a freshly
-    initialized optimizer. Per-epoch accuracy in the trace is measured on
-    the few-shot rows."""
+    initialized optimizer; returns the per-epoch mean batch losses. Each
+    epoch ends by scoring the few-shot rows as the divergence check."""
     if not fewshot:
         raise ValueError("cannot fine-tune on an empty subset")
     return _sgd_epochs(model, fewshot, config, model.transfer_frozen, None)
 
 
-@dataclass(frozen=True)
-class TransferRun:
-    seed: int
-    n_fewshot: int
-    pre_accuracy: float
-    post_accuracy: float
-    macro_auc: float
-    micro_auc: float
-
-
-@dataclass(frozen=True)
-class RepeatedTransferResult:
-    runs: tuple[TransferRun, ...]
-
-    def to_dict(self) -> dict:
-        doc: dict = {"n_repeats": len(self.runs)}
-        for key in ("pre_accuracy", "post_accuracy", "macro_auc", "micro_auc"):
-            values = np.array([getattr(r, key) for r in self.runs])
-            doc[f"{key}_mean"] = float(np.mean(values))
-            doc[f"{key}_std"] = float(np.std(values))
-        doc["runs"] = [asdict(r) for r in self.runs]
-        return doc
-
-
-def run_repeated(
-    pretrained,
-    dataset: Dataset,
-    config: TransferConfig,
-    n_repeats: int = 5,
-) -> tuple[RepeatedTransferResult, list]:
+def run_repeated(pretrained, dataset: Dataset, config: TrainConfig, *, count=None,
+                 fraction=None, resample=True, n_repeats=5) -> tuple[dict, list]:
     """Repeated transfer fine-tuning from one pretrained model.
 
-    Each repeat copies the pretrained model, draws the few-shot target
-    subset, fine-tunes, and evaluates on the remaining target samples.
+    Each repeat copies the pretrained model, draws a few-shot target subset
+    of ``count`` rows or ``fraction`` of the target domain (exactly one of
+    them), fine-tunes, and evaluates on the remaining target samples.
     resample=True gives every repeat its own subset; resample=False keeps
     the subset of repeat 0 and varies only batch shuffling. Repeat seeds
     are spawned from ``config.seed``.
 
-    Returns the aggregate result and the fine-tuned models.
+    Returns ``(doc, models)``: ``doc`` holds ``n_repeats``, the mean and
+    standard deviation of each measure over the repeats, and ``runs``, one
+    dict a repeat; ``models`` are the fine-tuned models.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
+    # an empty subset would fail only after the first model is scored
+    if (count is not None and count < 1) or (fraction is not None and not fraction > 0):
+        raise ValueError(f"the transfer subset must be nonempty, got count {count},"
+                         f" fraction {fraction}")
     root = np.random.SeedSequence(config.seed)
     seeds = [int(s.generate_state(1)[0]) for s in root.spawn(n_repeats)]
 
-    runs = []
-    models = []
-    for run_seed in seeds:
-        split_seed = run_seed if config.resample else seeds[0]
-        split = split_labeled(
-            dataset,
-            Domain.TARGET,
-            fraction=config.transfer_fraction,
-            count=config.n_transfer,
-            seed=split_seed,
-        )
+    runs, models = [], []
+    for seed in seeds:
+        split = split_labeled(dataset, Domain.TARGET, fraction=fraction, count=count,
+                              seed=seed if resample else seeds[0])
         model = pretrained.copy()
-        pre_acc = accuracy_of(model, split.evaluation)
-        transfer_finetune(model, split.labeled, replace(config, seed=run_seed))
+        pre_accuracy = accuracy_of(model, split.evaluation)
+        transfer_finetune(model, split.labeled, replace(config, seed=seed))
         report = evaluate(model, split.evaluation)
-        runs.append(
-            TransferRun(
-                seed=run_seed,
-                n_fewshot=len(split.labeled),
-                pre_accuracy=pre_acc,
-                post_accuracy=report.accuracy,
-                macro_auc=report.macro_auc,
-                micro_auc=report.micro_auc,
-            )
-        )
+        runs.append({"seed": seed, "n_fewshot": len(split.labeled),
+                     "pre_accuracy": pre_accuracy, "post_accuracy": report.accuracy,
+                     "macro_auc": report.macro_auc, "micro_auc": report.micro_auc})
         models.append(model)
-    return RepeatedTransferResult(runs=tuple(runs)), models
+    doc: dict = {"n_repeats": n_repeats}
+    for key in ("pre_accuracy", "post_accuracy", "macro_auc", "micro_auc"):
+        values = np.array([run[key] for run in runs])
+        doc[f"{key}_mean"] = float(np.mean(values))
+        doc[f"{key}_std"] = float(np.std(values))
+    doc["runs"] = runs
+    return doc, models

@@ -166,7 +166,7 @@ def test_auc_matches_pairwise_oracle(capsys):
 
 def test_transfer_freeze_is_bitwise(capsys):
     from qpose.data import Dataset, Domain, N_FEATURES
-    from qpose.training import TransferConfig, transfer_finetune
+    from qpose.training import TrainConfig, transfer_finetune
 
     rng = np.random.default_rng(3)
     model = DressedQnnModel.create(identity_normalizer(), StdAnsatz(4, 1), seed=0)
@@ -174,7 +174,7 @@ def test_transfer_freeze_is_bitwise(capsys):
     few = Dataset(np.stack([x for x, _ in draws]), [label for _, label in draws],
                   [Domain.TARGET] * 12, [0] * 12)
     before = {k: v.copy() for k, v in model.params.items()}
-    transfer_finetune(model, few, TransferConfig(n_transfer=12, epochs=4, seed=1))
+    transfer_finetune(model, few, TrainConfig(epochs=4, seed=1))
     frozen_ok = all((before[k] == model.params[k]).all()
                     for k in ("in.w", "in.b", "out.w", "out.b"))
     moved = not (before["theta"] == model.params["theta"]).all()

@@ -164,6 +164,14 @@ class TestTrain:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["config"]["labeled_count"] == 64
 
+    @pytest.mark.parametrize("flag", ["--labeled-count", "--labeled-fraction"])
+    def test_empty_labeled_split_names_the_flag_given(self, dataset, tmp_path, capsys, flag):
+        code = run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "knn",
+                        flag, "0"], tmp_path / "e")
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["message"] == f"labeled source split is empty; raise {flag}"
+
 
     def test_diverging_training_stops_with_error_document(self, dataset, tmp_path, capsys):
         out = tmp_path / "div"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -89,10 +90,10 @@ class TestRegistry:
     def test_fit_save_load_predicts_bitwise(self, kind, tmp_path):
         ds = generate_synthetic(48, 16, ShiftSpec(seed=5))
         labeled = split_labeled(ds, Domain.SOURCE, fraction=1.0, seed=0).labeled
-        model, trace = fit_model(kind, labeled, config=TrainConfig(epochs=1, batch_size=16),
-                                 qubits=3, k=3)
+        model, losses = fit_model(kind, labeled, config=TrainConfig(epochs=1, batch_size=16),
+                                  qubits=3, k=3)
         assert isinstance(model, KINDS[kind])
-        assert (trace is None) == (kind in ("knn", "gnb"))
+        assert (losses is None) == (kind in ("knn", "gnb"))
         save_checkpoint(model, tmp_path / "m.json")
         back = load_checkpoint(tmp_path / "m.json")
         x = np.random.default_rng(6).normal(size=(7, 36))
@@ -119,6 +120,16 @@ class TestValidation:
         doc["format_version"] = 999
         with pytest.raises(CheckpointError, match="format_version"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_json_integer_1(self, version, tmp_path):
+        doc = self.good_doc()
+        doc["format_version"] = version
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match=rf"^unsupported format_version {re.escape(repr(version))}$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["format_version", "kind", "config", "params", "normalizer"])
     def test_missing_field_rejected(self, field):
@@ -187,6 +198,20 @@ class TestValidation:
         doc["params"]["labels"][0] = label
         with pytest.raises(CheckpointError, match=r"params\.labels"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_config_holds_exactly_the_kinds_integer_fields(self, kind):
+        doc = checkpoint_dict(fitted_models()[kind])
+        good = doc["config"]
+        cases = [([1], " must be an object"), ("x", " must be an object"),
+                 (None, " must be an object"),
+                 (good | {"extra": 1}, r" has unexpected names \['extra'\]")]
+        cases += [({k: v for k, v in good.items() if k != name}, rf"\.{name} is missing")
+                  for name in good]
+        for config, error in cases:
+            doc["config"] = config
+            with pytest.raises(CheckpointError, match=rf"^{kind} checkpoint field config{error}"):
+                model_from_dict(doc)
 
     def test_bad_config_is_checkpoint_error(self):
         doc = checkpoint_dict(fitted_models()["knn"])

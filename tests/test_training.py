@@ -22,7 +22,6 @@ from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
 from qpose.training import (
     NonFiniteLossError,
     TrainConfig,
-    TransferConfig,
     pretrain,
     run_repeated,
     transfer_finetune,
@@ -63,19 +62,35 @@ def assert_bitwise_equal(a, b, names=None):
         assert (a[k] == b[k]).all(), k
 
 
-class TestPretrain:
-    def test_one_sample_one_epoch_takes_one_step(self):
-        model = small_dnn()
-        trace = pretrain(model, zero_rows(), TrainConfig(epochs=1, seed=0))
-        assert trace.total_steps == 1
-        assert len(trace.records) == 1
+def batches_seen(monkeypatch, model) -> list:
+    """Spy on ``model``'s class: the list gets a copy of the feature rows of
+    every `loss_and_grad` call, that is, of every training step."""
+    seen = []
+    orig = type(model).loss_and_grad
 
-    def test_step_count_with_partial_batches(self):
+    def spy(self, x, labels, needed=None):
+        seen.append(x.copy())
+        return orig(self, x, labels, needed=needed)
+
+    monkeypatch.setattr(type(model), "loss_and_grad", spy)
+    return seen
+
+
+class TestPretrain:
+    def test_one_sample_one_epoch_takes_one_step(self, monkeypatch):
+        model = small_dnn()
+        steps = batches_seen(monkeypatch, model)
+        losses = pretrain(model, zero_rows(), TrainConfig(epochs=1, seed=0))
+        assert len(steps) == 1
+        assert len(losses) == 1
+
+    def test_step_count_with_partial_batches(self, monkeypatch):
         samples = zero_rows(250)
         model = small_dnn()
-        trace = pretrain(model, samples, TrainConfig(batch_size=100, epochs=2, seed=0))
+        steps = batches_seen(monkeypatch, model)
+        pretrain(model, samples, TrainConfig(batch_size=100, epochs=2, seed=0))
         # 250 samples -> 3 batches per epoch, last one partial but kept
-        assert trace.total_steps == 6
+        assert len(steps) == 6
 
     def test_seeded_rerun_bitwise_identical(self):
         ds = generate_synthetic(60, 60, ShiftSpec(seed=3))
@@ -93,11 +108,12 @@ class TestPretrain:
         pretrain(model, zero_rows(30), TrainConfig(epochs=3, lr=0.0, seed=0))
         assert_bitwise_equal(before, model.params)
 
-    def test_zero_epochs_is_noop(self):
+    def test_zero_epochs_is_noop(self, monkeypatch):
         model = small_dnn(seed=3)
+        steps = batches_seen(monkeypatch, model)
         before = params_snapshot(model)
-        trace = pretrain(model, zero_rows(10), TrainConfig(epochs=0, seed=0))
-        assert trace.total_steps == 0
+        pretrain(model, zero_rows(10), TrainConfig(epochs=0, seed=0))
+        assert len(steps) == 0
         assert_bitwise_equal(before, model.params)
 
     def test_empty_subset_rejected(self):
@@ -108,24 +124,17 @@ class TestPretrain:
         ds = generate_synthetic(80, 80, ShiftSpec(seed=4))
         labeled = split_labeled(ds, Domain.SOURCE, fraction=0.5, seed=0).labeled
         model = small_dnn(seed=1)
-        trace = pretrain(model, labeled, TrainConfig(epochs=4, seed=0))
-        for r in trace.records:
-            assert r.mean_batch_loss >= 0 and 0 <= r.eval_accuracy <= 1
-        assert len(trace.losses) == 4
+        losses = pretrain(model, labeled, TrainConfig(epochs=4, seed=0))
+        assert len(losses) == 4
+        for loss in losses:
+            assert np.isfinite(loss) and loss >= 0
 
     def test_epoch_visits_every_sample_once(self, monkeypatch):
         # multiset of visited samples per epoch == the labeled subset
         ds = generate_synthetic(40, 40, ShiftSpec(seed=6))
         labeled = split_labeled(ds, Domain.SOURCE, fraction=1.0, seed=0).labeled
-        seen = []
         model = small_dnn(seed=0)
-        orig = type(model).loss_and_grad
-
-        def spy(self, x, labels, needed=None):
-            seen.append(x.copy())
-            return orig(self, x, labels, needed=needed)
-
-        monkeypatch.setattr(type(model), "loss_and_grad", spy)
+        seen = batches_seen(monkeypatch, model)
         pretrain(model, labeled, TrainConfig(batch_size=7, epochs=1, seed=3))
         visited = np.concatenate(seen)
         want = labeled.samples
@@ -183,7 +192,7 @@ class TestTransfer:
     def test_qnn_frozen_layers_bitwise_unchanged(self):
         model, few = self.fewshot_setup()
         before = params_snapshot(model)
-        transfer_finetune(model, few, TransferConfig(n_transfer=20, epochs=3, seed=2))
+        transfer_finetune(model, few, TrainConfig(epochs=3, seed=2))
         assert_bitwise_equal(before, model.params,
                              names=["in.w", "in.b", "out.w", "out.b"])
         assert not (before["theta"] == model.params["theta"]).all()
@@ -195,7 +204,7 @@ class TestTransfer:
         pretrain(model, src.labeled, TrainConfig(epochs=2, seed=0))
         few = split_labeled(ds, Domain.TARGET, count=30, seed=4).labeled
         before = params_snapshot(model)
-        transfer_finetune(model, few, TransferConfig(n_transfer=30, epochs=2, seed=0))
+        transfer_finetune(model, few, TrainConfig(epochs=2, seed=0))
         assert_bitwise_equal(before, model.params,
                              names=["in.w", "in.b", "out.w", "out.b"])
         assert not (before["res0.w"] == model.params["res0.w"]).all()
@@ -203,7 +212,7 @@ class TestTransfer:
     def test_zero_epochs_leaves_model_unchanged(self):
         model, few = self.fewshot_setup()
         before = params_snapshot(model)
-        transfer_finetune(model, few, TransferConfig(n_transfer=20, epochs=0, seed=0))
+        transfer_finetune(model, few, TrainConfig(epochs=0, seed=0))
         assert_bitwise_equal(before, model.params)
 
     def test_custom_freeze_policy_applies(self):
@@ -211,23 +220,15 @@ class TestTransfer:
         model, few = self.fewshot_setup()
         model.transfer_frozen = frozenset({"theta"})
         before = params_snapshot(model)
-        transfer_finetune(model, few, TransferConfig(n_transfer=20, epochs=2, seed=0))
+        transfer_finetune(model, few, TrainConfig(epochs=2, seed=0))
         assert (before["theta"] == model.params["theta"]).all()
         assert not (before["out.w"] == model.params["out.w"]).all()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TransferConfig(n_transfer=10, transfer_fraction=0.1, seed=0)
-        with pytest.raises(ValueError):
-            TransferConfig(n_transfer=0, seed=0)
 
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
     def test_optimizer_fields_must_be_finite_and_nonnegative(self, field, value):
-        for make in (lambda **kw: TrainConfig(**kw),
-                     lambda **kw: TransferConfig(n_transfer=10, **kw)):
-            with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
-                make(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
+            TrainConfig(**{field: value})
 
 
 class TestRunRepeated:
@@ -241,42 +242,54 @@ class TestRunRepeated:
 
     def test_single_repeat_zero_std(self):
         model, ds = self.make_pretrained()
-        result, _ = run_repeated(model, ds, TransferConfig(n_transfer=24, epochs=2, seed=0),
-                                 n_repeats=1)
-        assert result.to_dict()["post_accuracy_std"] == 0.0
-        assert len(result.runs) == 1
+        doc, _ = run_repeated(model, ds, TrainConfig(epochs=2, seed=0), count=24, n_repeats=1)
+        assert doc["post_accuracy_std"] == 0.0
+        assert len(doc["runs"]) == 1
 
     def test_pretrained_model_not_mutated(self):
         model, ds = self.make_pretrained()
         before = params_snapshot(model)
-        run_repeated(model, ds, TransferConfig(n_transfer=24, epochs=2, seed=0), n_repeats=2)
+        run_repeated(model, ds, TrainConfig(epochs=2, seed=0), count=24, n_repeats=2)
         assert_bitwise_equal(before, model.params)
 
     def test_resample_vs_reshuffle_modes(self):
         model, ds = self.make_pretrained()
-        res_a, _ = run_repeated(model, ds,
-                                TransferConfig(n_transfer=24, epochs=1, seed=0, resample=True),
-                                n_repeats=2)
-        res_b, _ = run_repeated(model, ds,
-                                TransferConfig(n_transfer=24, epochs=1, seed=0, resample=False),
-                                n_repeats=2)
+        config = TrainConfig(epochs=1, seed=0)
+        doc_a, _ = run_repeated(model, ds, config, count=24, resample=True, n_repeats=2)
+        doc_b, _ = run_repeated(model, ds, config, count=24, resample=False, n_repeats=2)
         # reshuffle mode shares the repeat-0 subset, so pre-transfer accuracy
         # is constant across repeats; resample mode generally varies
-        pre_b = [r.pre_accuracy for r in res_b.runs]
+        pre_b = [r["pre_accuracy"] for r in doc_b["runs"]]
         assert pre_b[0] == pre_b[1]
-        assert len({r.n_fewshot for r in res_a.runs}) == 1
+        assert len({r["n_fewshot"] for r in doc_a["runs"]}) == 1
+
+    def test_each_repeat_is_a_fine_tune_with_its_recorded_seed(self):
+        model, ds = self.make_pretrained()
+        doc, models = run_repeated(model, ds, TrainConfig(epochs=1, seed=0), count=24,
+                                   n_repeats=2)
+        for run, tuned in zip(doc["runs"], models):
+            few = split_labeled(ds, Domain.TARGET, count=24, seed=run["seed"]).labeled
+            oracle = model.copy()
+            transfer_finetune(oracle, few, TrainConfig(epochs=1, seed=run["seed"]))
+            assert_bitwise_equal(oracle.params, tuned.params)
 
     def test_repeats_validated(self):
         model, ds = self.make_pretrained()
         with pytest.raises(ValueError):
-            run_repeated(model, ds, TransferConfig(n_transfer=24, epochs=1, seed=0),
-                         n_repeats=0)
+            run_repeated(model, ds, TrainConfig(epochs=1, seed=0), count=24, n_repeats=0)
+
+    def test_config_validation(self, monkeypatch):
+        model, ds = self.make_pretrained()
+        # each is rejected before any model is scored
+        monkeypatch.setattr(type(model), "predict_proba", lambda self, x: pytest.fail("scored"))
+        for subset in ({"count": 10, "fraction": 0.1}, {"count": 0}, {"fraction": 0.0},
+                       {"fraction": float("nan")}):
+            with pytest.raises(ValueError):
+                run_repeated(model, ds, TrainConfig(epochs=1, seed=0), **subset)
 
     def test_to_dict_round_numbers(self):
         model, ds = self.make_pretrained()
-        result, _ = run_repeated(model, ds, TransferConfig(n_transfer=24, epochs=1, seed=0),
-                                 n_repeats=2)
-        doc = result.to_dict()
+        doc, _ = run_repeated(model, ds, TrainConfig(epochs=1, seed=0), count=24, n_repeats=2)
         stats = [f"{key}_{stat}" for key in ("pre_accuracy", "post_accuracy", "macro_auc",
                                              "micro_auc") for stat in ("mean", "std")]
         assert list(doc) == ["n_repeats", *stats, "runs"]
