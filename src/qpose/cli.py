@@ -17,9 +17,10 @@ is nonzero. --out-dir defaults to $QPOSE_OUT_DIR or ./qpose_out.
 `_run` is the one place a parsed subcommand runs. It makes the out-dir, and
 for a stage that reads --data it loads that CSV, calls the stage with the
 `Dataset`, and writes the stage's metrics to metadata.json with the sha256
-of the file. `make-figures` runs every stage through it and parses
-dataset.csv once, after `gen`: the 10 stages that read it share that one
-read-only `Dataset`, and a standalone subcommand loads its own.
+of the file. `make-figures` runs every stage through it, so a stage does
+what the same subcommand run alone does. dataset.csv is parsed once all the
+same: the first load writes its sidecar (`data.load_csv`), and the 9
+stages after it read their `Dataset` from that.
 
 Heavy imports stay inside functions so --deterministic can pin the BLAS
 thread count before numpy loads. Called in a process that has already loaded
@@ -187,9 +188,8 @@ def _fit(args, samples, seed: int, *, k: int, eval_samples=None):
                      layers=args.layers, k=k, eval_samples=eval_samples)
 
 
-def _run(args, dataset=None) -> None:
-    """Run one parsed subcommand; ``dataset``, if given, is ``args.data``
-    already loaded, so the stage does not parse the file again."""
+def _run(args) -> None:
+    """Run one parsed subcommand."""
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or "qpose_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     if not hasattr(args, "data"):  # gen and make-figures
@@ -198,9 +198,7 @@ def _run(args, dataset=None) -> None:
     from .data import dataset_sha256, load_csv
     from .serialize import write_run_metadata
 
-    if dataset is None:
-        dataset = load_csv(args.data)
-    metrics = args.func(args, dataset, out_dir)
+    metrics = args.func(args, load_csv(args.data), out_dir)
     write_run_metadata(out_dir / "metadata.json", command=args.command,
                        config={k: v for k, v in vars(args).items() if k != "func"},
                        seed=args.seed, dataset_hash=dataset_sha256(args.data),
@@ -297,9 +295,8 @@ def cmd_transfer(args, dataset, out_dir: Path) -> dict:
     if not hasattr(model, "transfer_frozen"):
         raise ValueError(f"model kind `{model.kind}` does not support fine-tuning")
 
-    fraction = 0.10 if args.samples is None and args.fraction is None else args.fraction
     doc, models = run_repeated(model, dataset, _train_config(args, args.seed),
-                               count=args.samples, fraction=fraction,
+                               count=_transfer_count(args, dataset),
                                resample=args.mode == "resample", n_repeats=args.repeats)
 
     save_checkpoint(models[0], out_dir / "transfer_checkpoint.json")
@@ -311,6 +308,31 @@ def cmd_transfer(args, dataset, out_dir: Path) -> dict:
           f" post={doc['post_accuracy_mean']:.4f} +- {doc['post_accuracy_std']:.4f}"
           f" over {args.repeats} repeats")
     return {k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")}
+
+
+def _transfer_count(args, dataset) -> int:
+    """The few-shot subset size that --samples, or --fraction (default 0.10)
+    by `split_labeled`'s rounding, takes of the target rows; a flag that
+    asks for no rows, or for more than there are, fails here, naming it,
+    before any model is scored."""
+    from .data import Domain, fraction_count
+
+    n_target = int((dataset.domain == Domain.TARGET.value).sum())
+    if args.samples is not None:
+        if args.fraction is not None:
+            raise ValueError("give --samples or --fraction, not both")
+        if not 1 <= args.samples <= n_target:
+            raise ValueError(f"--samples must lie in 1..{n_target}, the target row count,"
+                             f" got {args.samples}")
+        return args.samples
+    fraction = 0.10 if args.fraction is None else args.fraction
+    if not 0 < fraction <= 1:
+        raise ValueError(f"--fraction must lie in (0, 1], got {fraction}")
+    count = fraction_count(fraction, n_target)
+    if count < 1:
+        raise ValueError(f"--fraction {fraction} of the {n_target} target rows rounds to 0 rows;"
+                         " the transfer subset must be nonempty")
+    return count
 
 
 def cmd_eval(args, dataset, out_dir: Path) -> dict:
@@ -395,7 +417,6 @@ QUICK = {
 
 
 def cmd_make_figures(args, out_dir: Path) -> None:
-    from .data import load_csv
     from .serialize import KINDS
 
     fx = QUICK if args.quick else FIXTURE
@@ -404,42 +425,39 @@ def cmd_make_figures(args, out_dir: Path) -> None:
     data = str(out_dir / "dataset.csv")
     parser = build_parser()
 
-    # a failing stage raises to main, which prints its one error document
-    _run(parser.parse_args(["gen", "--seed", str(seed), "--n-source", str(fx["n_source"]),
-                            "--n-target", str(fx["n_target"]), "--out", data,
-                            "--out-dir", str(out_dir)] + det))
-    dataset = load_csv(data)
-
-    def run(argv) -> None:
-        _run(parser.parse_args(argv), dataset)
-
+    stages = [["gen", "--n-source", str(fx["n_source"]), "--n-target", str(fx["n_target"]),
+               "--out", data, "--out-dir", str(out_dir)]]
     for model in KINDS:
         epochs = fx["qnn_epochs"] if model == "qnn" else fx["dnn_epochs"]
-        run(["train", "--seed", str(seed), "--data", data, "--model", model,
-             "--labeled-fraction", str(fx["labeled_fraction"]),
-             "--epochs", str(epochs),
-             "--out-dir", str(out_dir / model)] + det)
+        stages.append(["train", "--data", data, "--model", model,
+                       "--labeled-fraction", str(fx["labeled_fraction"]),
+                       "--epochs", str(epochs),
+                       "--out-dir", str(out_dir / model)])
 
     tunable = [kind for kind, cls in KINDS.items() if hasattr(cls, "transfer_frozen")]
     for model in tunable:
-        run(["transfer", "--seed", str(seed), "--data", data,
-             "--checkpoint", str(out_dir / model / "checkpoint.json"),
-             "--fraction", str(fx["transfer_fraction"]),
-             "--epochs", str(fx["transfer_epochs"]),
-             "--repeats", str(fx["repeats"]),
-             "--out-dir", str(out_dir / f"transfer_{model}")] + det)
+        stages.append(["transfer", "--data", data,
+                       "--checkpoint", str(out_dir / model / "checkpoint.json"),
+                       "--fraction", str(fx["transfer_fraction"]),
+                       "--epochs", str(fx["transfer_epochs"]),
+                       "--repeats", str(fx["repeats"]),
+                       "--out-dir", str(out_dir / f"transfer_{model}")])
 
     for model in tunable:
-        run(["eval", "--seed", str(seed), "--data", data,
-             "--checkpoint", str(out_dir / model / "checkpoint.json"),
-             "--domain", "target",
-             "--out-dir", str(out_dir / f"eval_{model}")] + det)
+        stages.append(["eval", "--data", data,
+                       "--checkpoint", str(out_dir / model / "checkpoint.json"),
+                       "--domain", "target",
+                       "--out-dir", str(out_dir / f"eval_{model}")])
 
     grid = ",".join(str(g) for g in fx["curve_grid"])
     for model in ("dnn", "knn"):
-        run(["curve", "--seed", str(seed), "--data", data, "--model", model,
-             "--grid", grid, "--epochs", str(fx["dnn_epochs"]),
-             "--out-dir", str(out_dir / f"curve_{model}")] + det)
+        stages.append(["curve", "--data", data, "--model", model,
+                       "--grid", grid, "--epochs", str(fx["dnn_epochs"]),
+                       "--out-dir", str(out_dir / f"curve_{model}")])
+
+    # a failing stage raises to main, which prints its one error document
+    for argv in stages:
+        _run(parser.parse_args(argv + ["--seed", str(seed)] + det))
 
     facts = {"fixture": fx, "seed": seed, "models": {}}
     for model in KINDS:

@@ -25,12 +25,17 @@ that fails a check, is parsed again a row at a time, each value as
 `float()` or `int()` reads it, which names the first bad line; so the file
 loads to the same samples, or fails with the same error, either way.
 `dataset_sha256` is the sha256 of a dataset file's bytes, the digest every
-run record carries.
+run record carries. A parsed file's columns are kept beside it in a
+sidecar, `<csv>.npy`, keyed by that digest, so a later load of the same
+bytes reads the columns instead of parsing the text again.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 from enum import Enum
@@ -299,6 +304,10 @@ HASH_BLOCK_BYTES = 1 << 20
 # so a longer value is cut to one that is no domain, never to "source".
 _CSV_ROW = np.dtype([("label", np.int64), ("domain", "U7"), ("session", np.int64),
                      ("features", np.float64, (N_FEATURES,))])
+# The dtypes of the parsed (samples, labels, domain, session) columns, which
+# a sidecar's columns must have exactly.
+_COLUMN_DTYPES = tuple(map(np.dtype, (np.float64, np.int64, "<U6", np.int64)))
+_DIGEST_DTYPE = np.dtype("<U64")
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -326,18 +335,109 @@ def dataset_sha256(path) -> str:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV a block of CSV_BLOCK_ROWS lines at a time
+    """Read a dataset CSV. The file is hashed first (`dataset_sha256`); if
+    its sidecar ``<path>.npy`` holds that digest and four valid columns,
+    those are the dataset (`_read_sidecar`). Otherwise the text is parsed
+    (`_parse_csv`) and the sidecar is written for the next load, unless the
+    file's size, mtime or inode moved while it was read. A missing, stale
+    or damaged sidecar is a miss, never an error, and a file that fails to
+    parse raises its CsvFormatError and writes no sidecar; deleting a
+    sidecar is always safe."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"dataset file not found: {path}")
+    sidecar = path.with_name(path.name + ".npy")
+    stamp = _stamp(path)
+    digest = dataset_sha256(path)
+    dataset = _read_sidecar(sidecar, digest)
+    if dataset is None:
+        dataset = _parse_csv(path)
+        if _stamp(path) == stamp:
+            _write_sidecar(sidecar, digest, dataset)
+    return dataset
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _read_sidecar(path: Path, digest: str) -> Dataset | None:
+    """The dataset a sidecar holds, or None unless ``path`` is exactly five
+    .npy records: ``digest`` as a 0-d unicode array, then samples, labels,
+    domain and session in the dtypes the parse gives (`_COLUMN_DTYPES`),
+    with one label, domain and session per feature row, which the Dataset
+    constructor accepts."""
+    try:
+        with open(path, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            if _read_record(fh, end, _DIGEST_DTYPE, ()) != digest:
+                return None
+            samples = _read_record(fh, end, _COLUMN_DTYPES[0], (None, N_FEATURES))
+            columns = [samples] + [_read_record(fh, end, dtype, (len(samples),))
+                                   for dtype in _COLUMN_DTYPES[1:]]
+            if fh.read(1):
+                return None
+        return Dataset(*columns)
+    except (OSError, ValueError):
+        return None
+
+
+def _read_record(fh, end: int, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The next .npy record of ``fh``, which must be a C-order array of
+    ``dtype`` and ``shape`` (a None matches any row count) whose data ends
+    by byte ``end``. The header must be the exact text `write_array` gives
+    such an array; it is matched before `read_array` parses it or
+    allocates, so a damaged header is a ValueError and a record claiming
+    more rows than the file holds costs nothing."""
+    start = fh.tell()
+    prefix = fh.read(10)
+    header = (fh.read(int.from_bytes(prefix[8:], "little"))
+              if prefix[:8] == b"\x93NUMPY\x01\x00" else b"")
+    text = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
+        np.lib.format.dtype_to_descr(dtype), shape)
+    match = re.fullmatch(re.escape(text).replace("None", r"(\d{1,15})") + r" *\n",
+                         header.decode("latin-1"))
+    if not match:
+        raise ValueError("sidecar record does not hold the expected column")
+    rows = iter(match.groups())
+    if fh.tell() + dtype.itemsize * math.prod(int(next(rows)) if n is None else n
+                                              for n in shape) > end:
+        raise ValueError("sidecar record is cut short")
+    fh.seek(start)
+    return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _write_sidecar(path: Path, digest: str, dataset: Dataset) -> None:
+    """Write ``dataset``'s sidecar to a temporary file of this process and
+    thread beside ``path``, then move it over ``path`` in one `os.replace`,
+    so a reader never sees half a sidecar. Each column goes to the file as
+    it is, uncopied. On an OSError (a read-only directory, a full disk) the
+    temporary file is removed and no sidecar is written."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for array in (np.array(digest), dataset.samples, dataset.labels, dataset.domain,
+                          dataset.session):
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
+def _parse_csv(path: Path) -> Dataset:
+    """Parse a dataset CSV a block of CSV_BLOCK_ROWS lines at a time
     (`_read_block`) into four column buffers that grow in place (by a
     quarter, at least CSV_BLOCK_ROWS rows) and are trimmed at the end, so
     the features are never held twice; a bad row raises CsvFormatError
     naming its line. The file is decoded with surrogateescape: a byte that
     is not valid UTF-8 becomes a lone surrogate, which no field accepts, so
     the parse names the first bad line."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    columns = [np.empty((0, N_FEATURES)), np.empty(0, np.int64), np.empty(0, "<U6"),
-               np.empty(0, np.int64)]
+    columns = [np.empty((0, N_FEATURES), _COLUMN_DTYPES[0])] + [
+        np.empty(0, dtype) for dtype in _COLUMN_DTYPES[1:]]
     n, lineno = 0, 2
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n").rstrip("\r") != CSV_HEADER:
@@ -500,7 +600,14 @@ def split_labeled(
         raise ValueError("give exactly one of fraction or count")
     pool = dataset.by_domain(domain)
     if fraction is not None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction {fraction} outside [0, 1]")
-        count = int(round(fraction * len(pool)))
+        count = fraction_count(fraction, len(pool))
     return stratified_subset(pool, count, seed)
+
+
+def fraction_count(fraction: float, n: int) -> int:
+    """The rows that ``fraction`` of a pool of ``n`` rows takes, by
+    `split_labeled`'s rounding; a caller checks a split's size with it
+    before making the split."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction {fraction} outside [0, 1]")
+    return int(round(fraction * n))

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import GnbModel, KnnModel
-from .data import Dataset, Domain, FeatureNormalizer, features_matrix, split_labeled
+from .data import (Dataset, Domain, FeatureNormalizer, features_matrix, fraction_count,
+                   split_labeled)
 from .evaluation import accuracy_of, evaluate
 from .neural import AdamW, DnnModel
 from .quantum_classifier import DressedQnnModel, StdAnsatz
@@ -189,9 +190,11 @@ def run_repeated(pretrained, dataset: Dataset, config: TrainConfig, *, count=Non
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     # an empty subset would fail only after the first model is scored
-    if (count is not None and count < 1) or (fraction is not None and not fraction > 0):
-        raise ValueError(f"the transfer subset must be nonempty, got count {count},"
-                         f" fraction {fraction}")
+    size = count if fraction is None else fraction_count(
+        fraction, int((dataset.domain == Domain.TARGET.value).sum()))
+    if size is not None and size < 1:
+        raise ValueError(f"the transfer subset must be nonempty, got {size} rows from count"
+                         f" {count}, fraction {fraction}")
     root = np.random.SeedSequence(config.seed)
     seeds = [int(s.generate_state(1)[0]) for s in root.spawn(n_repeats)]
 

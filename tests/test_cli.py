@@ -16,7 +16,7 @@ from qpose import cli
 from qpose.baselines import GnbModel, KnnModel
 from qpose.data import FeatureNormalizer
 from qpose.neural import DnnConfig, DnnModel
-from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
+from qpose.quantum_classifier import DressedQnnModel, StdAnsatz, evaluation_count
 from qpose.serialize import checkpoint_dict
 
 
@@ -412,6 +412,26 @@ class TestTransfer:
         assert all(r["n_fewshot"] == 24 for r in doc["runs"])
         assert (tl_dir / "transfer_checkpoint.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fraction", "0.001", "--fraction 0.001 of the 160 target rows rounds to 0 rows;"
+                                " the transfer subset must be nonempty"),
+        ("--fraction", "nan", "--fraction must lie in (0, 1], got nan"),
+        ("--samples", "0", "--samples must lie in 1..160, the target row count, got 0"),
+    ])
+    def test_empty_subset_names_the_flag_before_any_model_is_scored(self, dataset, tmp_path,
+                                                                    capsys, flag, value,
+                                                                    message):
+        assert run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "qnn",
+                        "--epochs", "1"], tmp_path / "qnn") == 0
+        before = evaluation_count()
+        code = run_cli(["transfer", "--data", str(dataset),
+                        "--checkpoint", str(tmp_path / "qnn" / "checkpoint.json"),
+                        flag, value], tmp_path / "tl")
+        assert code == 1
+        assert evaluation_count() == before
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc == {"error": "ValueError", "message": message}
+
     def test_baseline_checkpoint_rejected(self, dataset, tmp_path):
         train_dir = tmp_path / "knn"
         run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "knn"],
@@ -499,19 +519,20 @@ class TestHarness:
                 assert "numpy" not in path.read_text(), path
 
     def test_make_figures_parses_the_dataset_once(self, tmp_path, monkeypatch):
+        # each of the 10 stages after gen loads --data; only the first parses
         import qpose.data
 
-        calls = []
-        load_csv = qpose.data.load_csv
-        monkeypatch.setattr(qpose.data, "load_csv",
-                            lambda path: calls.append(path) or load_csv(path))
+        parses = []
+        parse = qpose.data._parse_csv
+        monkeypatch.setattr(qpose.data, "_parse_csv",
+                            lambda path: parses.append(path) or parse(path))
         out = tmp_path / "figs"
         assert run_cli(["make-figures", "--quick"], out) == 0
-        assert calls == [str(out / "dataset.csv")]
+        assert parses == [out / "dataset.csv"]
 
     def test_make_figures_stages_write_what_standalone_runs_write(self, tmp_path):
-        # a stage handed make-figures' Dataset writes the bytes it writes
-        # when it loads --data itself, metadata.json included
+        # a make-figures stage writes the bytes it writes when it is run
+        # alone with the same flags, metadata.json included
         out = tmp_path / "figs"
         assert run_cli(["make-figures", "--quick", "--deterministic"], out) == 0
         fx, data, seed = cli.QUICK, str(out / "dataset.csv"), str(cli.FIXTURE_SEED)

@@ -1,6 +1,7 @@
 """Columnar dataset, CSV round-trip, synthetic generator, stratified splits."""
 
 import hashlib
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -263,16 +264,18 @@ class TestCsv:
             assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
 
     def test_features_are_not_held_twice(self, tmp_path):
+        # the first load parses and writes the sidecar, the second reads it
         path = tmp_path / "ds.csv"
         write_csv(generate_synthetic(800, 4000, ShiftSpec(seed=11)), path)
-        tracemalloc.start()
-        try:
-            back = load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(back) == 4800
-        assert peak <= 1.5 * back.samples.nbytes, peak
+        for load in ("parse", "sidecar"):
+            tracemalloc.start()
+            try:
+                back = load_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(back) == 4800
+            assert peak <= 1.5 * back.samples.nbytes, (load, peak)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -476,6 +479,166 @@ class TestBlockParse:
             path = Path(tmp) / "probe.csv"
             path.write_bytes(csv_bytes(rows, newline, final_newline))
             assert_same_load(path)
+
+
+COLUMNS = ("samples", "labels", "domain", "session")
+
+
+def forbid_parse(monkeypatch):
+    """Make a parse of the CSV text fail the test: a load must hit."""
+    def parse(path):
+        raise AssertionError(f"{path} was parsed")
+
+    monkeypatch.setattr(qpose.data, "_parse_csv", parse)
+
+
+def write_records(path, *arrays):
+    """A sidecar of ``arrays``, one .npy record each, as `load_csv` writes."""
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.lib.format.write_array(fh, np.asarray(array), allow_pickle=True)
+
+
+class TestSidecar:
+    """`load_csv` keeps the parsed columns in ``<csv>.npy``, keyed by the
+    CSV's sha256: a later load of the same bytes reads them and parses
+    nothing, and a sidecar that fails any check is a miss and is rewritten."""
+
+    @pytest.fixture()
+    def csv(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        write_csv(generate_synthetic(300, 260, ShiftSpec(seed=4)), path)
+        return path
+
+    @pytest.mark.parametrize("kind", ["fixture", "crlf", "row-parse"])
+    def test_warm_load_equals_cold_parse_bit_for_bit(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "ds.csv"
+        if kind == "fixture":
+            write_csv(generate_synthetic(800, 1040, ShiftSpec(seed=7)), path)
+        else:
+            rows = [list(row) for row in GOOD_ROWS]
+            if kind == "row-parse":  # both blocks go through the per-row fallback
+                rows[3][7], rows[CSV_BLOCK_ROWS][4] = "1_0", "2_5"
+            path.write_bytes(csv_bytes(rows, "\r\n" if kind == "crlf" else "\n"))
+        cold = load_csv(path)
+        assert (tmp_path / "ds.csv.npy").exists()
+        if kind == "row-parse":
+            assert cold.samples[3, 4] == 10.0 and cold.samples[CSV_BLOCK_ROWS, 1] == 25.0
+        forbid_parse(monkeypatch)
+        warm = load_csv(path)
+        for name in COLUMNS:
+            a, b = getattr(cold, name), getattr(warm, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert not a.flags.writeable and not b.flags.writeable, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "ds.csv.npy"]
+
+    def test_edited_csv_loads_its_new_values(self, csv, monkeypatch):
+        old = load_csv(csv)
+        text = csv.read_text(encoding="utf-8")
+        row = text.split("\n")[5]
+        edited = row[:-1] + str((int(row[-1]) + 1) % 10)  # the last digit of a feature
+        csv.write_text(text.replace(row, edited), encoding="utf-8")
+        want = per_row_load_csv(csv)
+        assert want.samples.tobytes() != old.samples.tobytes()
+        got = load_csv(csv)
+        forbid_parse(monkeypatch)
+        warm = load_csv(csv)  # the sidecar was rewritten for the new bytes
+        for name in COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert getattr(warm, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("damage", ["digest", "nan", "label-9", "35-features", "cut",
+                                        "cut-header", "object", "sixth-record", "fortran",
+                                        "big-endian", "u7-domain", "rows-past-end", "empty"])
+    def test_bad_sidecar_is_a_miss_and_is_rewritten(self, csv, monkeypatch, damage):
+        good = load_csv(csv)
+        sidecar = csv.with_name("ds.csv.npy")
+        valid = sidecar.read_bytes()
+        digest = np.array(dataset_sha256(csv))
+        x, labels, domain, session = (np.array(getattr(good, name)) for name in COLUMNS)
+        if damage == "digest":
+            write_records(sidecar, np.array("0" * 64), x, labels, domain, session)
+        elif damage == "nan":
+            x[7, 3] = np.nan
+            write_records(sidecar, digest, x, labels, domain, session)
+        elif damage == "label-9":
+            labels[0] = 9
+            write_records(sidecar, digest, x, labels, domain, session)
+        elif damage == "35-features":
+            write_records(sidecar, digest, x[:, :35].copy(), labels, domain, session)
+        elif damage == "cut":
+            sidecar.write_bytes(valid[:-8])
+        elif damage == "cut-header":
+            sidecar.write_bytes(valid[:200])
+        elif damage == "object":
+            write_records(sidecar, digest, x, labels, domain.astype(object), session)
+        elif damage == "sixth-record":
+            write_records(sidecar, digest, x, labels, domain, session, session)
+        elif damage == "fortran":
+            write_records(sidecar, digest, np.asfortranarray(x), labels, domain, session)
+        elif damage == "big-endian":
+            write_records(sidecar, digest, x, labels.astype(">i8"), domain, session)
+        elif damage == "u7-domain":
+            write_records(sidecar, digest, x, labels, domain.astype("U7"), session)
+        elif damage == "rows-past-end":
+            # a header claiming 10**12 rows must not be allocated
+            with open(sidecar, "wb") as fh:
+                np.lib.format.write_array(fh, digest)
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f8", "fortran_order": False, "shape": (10**12, N_FEATURES)})
+                fh.write(x.tobytes())
+        else:
+            sidecar.write_bytes(b"")
+        parses = []
+        parse = qpose.data._parse_csv
+        monkeypatch.setattr(qpose.data, "_parse_csv",
+                            lambda path: parses.append(path) or parse(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_csv(csv)
+        assert parses == [csv]
+        for name in COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(good, name).tobytes(), name
+        assert sidecar.read_bytes() == valid
+
+    def test_failed_replace_still_loads_and_leaves_no_temporary_file(self, csv, monkeypatch):
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(qpose.data.os, "replace", replace)
+        ds = load_csv(csv)
+        assert ds.samples.tobytes() == per_row_load_csv(csv).samples.tobytes()
+        assert [p.name for p in csv.parent.iterdir()] == ["ds.csv"]
+
+    def test_csv_changed_during_the_load_writes_no_sidecar(self, csv, monkeypatch):
+        parse = qpose.data._parse_csv
+
+        def parse_then_touch(path):
+            ds = parse(path)
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return ds
+
+        monkeypatch.setattr(qpose.data, "_parse_csv", parse_then_touch)
+        load_csv(csv)
+        assert [p.name for p in csv.parent.iterdir()] == ["ds.csv"]
+
+    def test_bad_csv_writes_no_sidecar_and_keeps_its_error(self, csv):
+        load_csv(csv)
+        csv.write_text(csv.read_text(encoding="utf-8").replace("\n0,", "\n9,", 1),
+                       encoding="utf-8")
+        stale = csv.with_name("ds.csv.npy").read_bytes()
+        with pytest.raises(CsvFormatError) as want:
+            per_row_load_csv(csv)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(csv)
+        assert str(err.value) == str(want.value)
+        assert csv.with_name("ds.csv.npy").read_bytes() == stale
+        fresh = csv.with_name("fresh.csv")
+        fresh.write_bytes(csv.read_bytes())
+        with pytest.raises(CsvFormatError):
+            load_csv(fresh)
+        assert not fresh.with_name("fresh.csv.npy").exists()
 
 
 # Values where repr switches notation (1e-4, 1e16), the subnormal and

@@ -283,7 +283,7 @@ class TestRunRepeated:
         # each is rejected before any model is scored
         monkeypatch.setattr(type(model), "predict_proba", lambda self, x: pytest.fail("scored"))
         for subset in ({"count": 10, "fraction": 0.1}, {"count": 0}, {"fraction": 0.0},
-                       {"fraction": float("nan")}):
+                       {"fraction": float("nan")}, {"fraction": 0.001}):
             with pytest.raises(ValueError):
                 run_repeated(model, ds, TrainConfig(epochs=1, seed=0), **subset)
 
