@@ -17,7 +17,8 @@ is nonzero. --out-dir defaults to $QPOSE_OUT_DIR or ./qpose_out.
 `_run` is the one place a parsed subcommand runs. It makes the out-dir, and
 for a stage that reads --data it loads that CSV, calls the stage with the
 `Dataset`, and writes the stage's metrics to metadata.json with the sha256
-of the file. `make-figures` runs every stage through it, so a stage does
+that the load computed of the bytes it read (the file is hashed once a
+stage). `make-figures` runs every stage through it, so a stage does
 what the same subcommand run alone does. dataset.csv is parsed once all the
 same: the first load writes its sidecar (`data.load_csv`), and the 9
 stages after it read their `Dataset` from that.
@@ -195,13 +196,16 @@ def _run(args) -> None:
     if not hasattr(args, "data"):  # gen and make-figures
         args.func(args, out_dir)
         return
-    from .data import dataset_sha256, load_csv
+    from .data import load_csv
     from .serialize import write_run_metadata
 
-    metrics = args.func(args, load_csv(args.data), out_dir)
+    dataset = load_csv(args.data)
+    if dataset.sha256 is None:
+        raise ValueError(f"dataset file {args.data} changed while it was read; run again")
+    metrics = args.func(args, dataset, out_dir)
     write_run_metadata(out_dir / "metadata.json", command=args.command,
                        config={k: v for k, v in vars(args).items() if k != "func"},
-                       seed=args.seed, dataset_hash=dataset_sha256(args.data),
+                       seed=args.seed, dataset_hash=dataset.sha256,
                        deterministic=args.deterministic, metrics=metrics)
 
 
@@ -250,14 +254,12 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
     from .evaluation import evaluate
     from .serialize import save_checkpoint
 
-    fraction = args.labeled_fraction
-    if fraction is None and args.labeled_count is None:
-        fraction = 0.5
-    split = split_labeled(dataset, Domain.SOURCE, fraction=fraction, count=args.labeled_count,
-                          seed=args.seed)
-    if not split.labeled:
-        flag = "--labeled-count" if fraction is None else "--labeled-fraction"
+    count = _subset_count(args, dataset, Domain.SOURCE, "labeled_count", "labeled_fraction",
+                          default=0.5, least=0)
+    if count == 0:
+        flag = "--labeled-fraction" if args.labeled_count is None else "--labeled-count"
         raise ValueError(f"labeled source split is empty; raise {flag}")
+    split = split_labeled(dataset, Domain.SOURCE, count=count, seed=args.seed)
     model, losses = _fit(args, split.labeled, args.seed, k=args.k,
                          eval_samples=split.evaluation or None)
 
@@ -288,6 +290,7 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
 
 
 def cmd_transfer(args, dataset, out_dir: Path) -> dict:
+    from .data import Domain
     from .serialize import load_checkpoint, save_checkpoint
     from .training import run_repeated
 
@@ -296,7 +299,8 @@ def cmd_transfer(args, dataset, out_dir: Path) -> dict:
         raise ValueError(f"model kind `{model.kind}` does not support fine-tuning")
 
     doc, models = run_repeated(model, dataset, _train_config(args, args.seed),
-                               count=_transfer_count(args, dataset),
+                               count=_subset_count(args, dataset, Domain.TARGET, "samples",
+                                                   "fraction", default=0.10),
                                resample=args.mode == "resample", n_repeats=args.repeats)
 
     save_checkpoint(models[0], out_dir / "transfer_checkpoint.json")
@@ -310,28 +314,36 @@ def cmd_transfer(args, dataset, out_dir: Path) -> dict:
     return {k: doc[k] for k in ("pre_accuracy_mean", "post_accuracy_mean", "post_accuracy_std")}
 
 
-def _transfer_count(args, dataset) -> int:
-    """The few-shot subset size that --samples, or --fraction (default 0.10)
-    by `split_labeled`'s rounding, takes of the target rows; a flag that
-    asks for no rows, or for more than there are, fails here, naming it,
-    before any model is scored."""
-    from .data import Domain, fraction_count
+def _subset_count(args, dataset, domain, count_name: str, fraction_name: str, *,
+                  default: float, least: int = 1) -> int:
+    """The rows a subset takes of ``dataset``'s ``domain`` rows: the count
+    flag ``args.<count_name>``, or else the fraction flag
+    ``args.<fraction_name>`` (``default`` when neither is given) by
+    `split_labeled`'s rounding. Both flags given, a count outside
+    least..rows, a fraction outside [0, 1] (``(0, 1]`` when ``least`` is 1)
+    or one that rounds to fewer than ``least`` rows fails here, naming the
+    flag as the user typed it, before any split is drawn or model scored."""
+    from .data import fraction_count
 
-    n_target = int((dataset.domain == Domain.TARGET.value).sum())
-    if args.samples is not None:
-        if args.fraction is not None:
-            raise ValueError("give --samples or --fraction, not both")
-        if not 1 <= args.samples <= n_target:
-            raise ValueError(f"--samples must lie in 1..{n_target}, the target row count,"
-                             f" got {args.samples}")
-        return args.samples
-    fraction = 0.10 if args.fraction is None else args.fraction
-    if not 0 < fraction <= 1:
-        raise ValueError(f"--fraction must lie in (0, 1], got {fraction}")
-    count = fraction_count(fraction, n_target)
-    if count < 1:
-        raise ValueError(f"--fraction {fraction} of the {n_target} target rows rounds to 0 rows;"
-                         " the transfer subset must be nonempty")
+    count, fraction = getattr(args, count_name), getattr(args, fraction_name)
+    count_flag, fraction_flag = ("--" + name.replace("_", "-")
+                                 for name in (count_name, fraction_name))
+    n = int((dataset.domain == domain.value).sum())
+    if count is not None:
+        if fraction is not None:
+            raise ValueError(f"give {count_flag} or {fraction_flag}, not both")
+        if not least <= count <= n:
+            raise ValueError(f"{count_flag} must lie in {least}..{n}, the {domain.value} row"
+                             f" count, got {count}")
+        return count
+    fraction = default if fraction is None else fraction
+    if not (0 < fraction <= 1 if least else 0 <= fraction <= 1):
+        raise ValueError(f"{fraction_flag} must lie in {'(' if least else '['}0, 1],"
+                         f" got {fraction}")
+    count = fraction_count(fraction, n)
+    if count < least:
+        raise ValueError(f"{fraction_flag} {fraction} of the {n} {domain.value} rows rounds to"
+                         f" 0 rows; the {args.command} subset must be nonempty")
     return count
 
 

@@ -24,10 +24,11 @@ rows and checks their columns at once. A block that loadtxt refuses, or
 that fails a check, is parsed again a row at a time, each value as
 `float()` or `int()` reads it, which names the first bad line; so the file
 loads to the same samples, or fails with the same error, either way.
-`dataset_sha256` is the sha256 of a dataset file's bytes, the digest every
-run record carries. A parsed file's columns are kept beside it in a
-sidecar, `<csv>.npy`, keyed by that digest, so a later load of the same
-bytes reads the columns instead of parsing the text again.
+`dataset_sha256` is the sha256 of a dataset file's bytes. `load_csv`
+hashes the file once and keeps the digest on the `Dataset` it returns,
+which every run record carries. A parsed file's columns are kept beside it
+in a sidecar, `<csv>.npy`, keyed by that digest, so a later load of the
+same bytes reads the columns instead of parsing the text again.
 """
 
 from __future__ import annotations
@@ -78,12 +79,15 @@ class Dataset:
     features; ``labels``, int64 poses in 0..7; ``domain``, "source" or
     "target"; ``session``, int64 session ids. The constructor checks every
     column at once and marks it read-only (an array that already has the
-    column's dtype is kept, not copied); `take` copies a subset of rows."""
+    column's dtype is kept, not copied); `take` copies a subset of rows.
+    ``sha256`` is the digest of the file bytes `load_csv` read the rows
+    from, and None for rows made in memory or taken from other rows."""
 
     samples: np.ndarray
     labels: np.ndarray
     domain: np.ndarray
     session: np.ndarray
+    sha256: str | None = None
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -342,7 +346,9 @@ def load_csv(path) -> Dataset:
     file's size, mtime or inode moved while it was read. A missing, stale
     or damaged sidecar is a miss, never an error, and a file that fails to
     parse raises its CsvFormatError and writes no sidecar; deleting a
-    sidecar is always safe."""
+    sidecar is always safe. The dataset's ``sha256`` is the digest, or
+    None when the file moved, since then the parse may have read other
+    bytes than were hashed."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -354,6 +360,7 @@ def load_csv(path) -> Dataset:
         dataset = _parse_csv(path)
         if _stamp(path) == stamp:
             _write_sidecar(sidecar, digest, dataset)
+            dataset = replace(dataset, sha256=digest)
     return dataset
 
 
@@ -378,7 +385,7 @@ def _read_sidecar(path: Path, digest: str) -> Dataset | None:
                                    for dtype in _COLUMN_DTYPES[1:]]
             if fh.read(1):
                 return None
-        return Dataset(*columns)
+        return Dataset(*columns, sha256=digest)
     except (OSError, ValueError):
         return None
 

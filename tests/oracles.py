@@ -32,6 +32,9 @@ to 1e-13.
 `loop_stratified_subset` are the loop forms of the array-at-a-time ROC
 sweep, CSV rendering, CSV parse and subset draw in the package: one tie
 group, one float and one row at a time, with Python integers and lists.
+`roc_vertices` reduces `loop_binary_roc`'s full curve to the vertices the
+package keeps, one point at a time, by an integer cross product of the
+counts behind the rates.
 
 `full_sort_knn_scores` is the kNN vote before its shortlist: one
 (queries, references, features) difference, its squares summed over the
@@ -412,6 +415,30 @@ def loop_binary_roc(scores, positive):
         fprs.append(fp / n_neg)
         tprs.append(tp / n_pos)
     return np.array(fprs), np.array(tprs), numerator / (2 * n_pos * n_neg)
+
+
+def roc_counts(fpr, tpr, n_neg: int, n_pos: int) -> list[tuple[int, int]]:
+    """The (fp, tp) counts of a ROC curve's points, in Python integers.
+    Each rate is the correctly rounded k / n, so ``rate * n`` is within
+    n * 2**-53 of k in exact arithmetic and rounds back to it."""
+    return [(round(Fraction(f) * n_neg), round(Fraction(t) * n_pos))
+            for f, t in zip(np.asarray(fpr).tolist(), np.asarray(tpr).tolist())]
+
+
+def cross(o, a, b) -> int:
+    """The cross product of the steps o -> a and o -> b: zero when the
+    three points are collinear."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def roc_vertices(fpr, tpr, n_neg: int, n_pos: int):
+    """(fpr, tpr) of a ROC curve with every interior point dropped whose
+    steps in and out are parallel, tested one point at a time on its
+    integer counts (`roc_counts`); the first and last point stay."""
+    points = roc_counts(fpr, tpr, n_neg, n_pos)
+    kept = [0] + [i for i in range(1, len(points) - 1)
+                  if cross(points[i - 1], points[i], points[i + 1]) != 0] + [len(points) - 1]
+    return np.asarray(fpr)[kept], np.asarray(tpr)[kept]
 
 
 def csv_text_by_value(dataset) -> str:

@@ -114,7 +114,14 @@ class TestGen:
         assert not any(out.iterdir())
 
 
-def test_each_stage_records_the_sha256_of_the_file_it_read(dataset, tmp_path):
+def test_each_stage_records_the_sha256_of_the_file_it_read(dataset, tmp_path, monkeypatch):
+    # one hash a stage: the digest that keyed the load is the one recorded
+    import qpose.data
+
+    hashed = []
+    digest = qpose.data.dataset_sha256
+    monkeypatch.setattr(qpose.data, "dataset_sha256", lambda path: hashed.append(path)
+                        or digest(path))
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(dataset.read_bytes().replace(b"\n", b"\r\n"))
     summaries = []
@@ -122,8 +129,11 @@ def test_each_stage_records_the_sha256_of_the_file_it_read(dataset, tmp_path):
         out = tmp_path / data.stem
         assert run_cli(["train", "--seed", "0", "--data", str(data), "--model", "knn"],
                        out / "train") == 0
+        assert len(hashed) == 1
         assert run_cli(["eval", "--seed", "0", "--data", str(data),
                         "--checkpoint", str(out / "train" / "checkpoint.json")], out / "eval") == 0
+        assert len(hashed) == 2
+        hashed.clear()
         for stage in ("train", "eval"):
             meta = json.loads((out / stage / "metadata.json").read_text())
             assert meta["dataset_sha256"] == sha(data), (data.name, stage)
@@ -172,6 +182,49 @@ class TestTrain:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["message"] == f"labeled source split is empty; raise {flag}"
 
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--labeled-fraction", "0.5", "--labeled-count", "10"],
+         "give --labeled-count or --labeled-fraction, not both"),
+        (["--labeled-fraction", "nan"], "--labeled-fraction must lie in [0, 1], got nan"),
+        (["--labeled-count", "100000"],
+         "--labeled-count must lie in 0..160, the source row count, got 100000"),
+    ])
+    def test_bad_split_flags_are_named_before_the_split(self, dataset, tmp_path, capsys,
+                                                        monkeypatch, flags, message):
+        import qpose.data
+
+        splits = []
+        monkeypatch.setattr(qpose.data, "split_labeled", lambda *a, **k: splits.append(a))
+        out = tmp_path / "e"
+        code = run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "knn",
+                        *flags], out)
+        assert code == 1 and splits == []
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc == {"error": "ValueError", "message": message}
+        assert not (out / "checkpoint.json").exists()
+
+    def test_data_changed_while_it_was_read_is_an_error(self, dataset, tmp_path, capsys,
+                                                         monkeypatch):
+        # the parse may then hold other bytes than the digest names
+        import qpose.data
+
+        parse = qpose.data._parse_csv
+
+        def parse_then_touch(path):
+            ds = parse(path)
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return ds
+
+        monkeypatch.setattr(qpose.data, "_parse_csv", parse_then_touch)
+        out = tmp_path / "t"
+        assert run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "knn"],
+                       out) == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc == {"error": "ValueError", "message": f"dataset file {dataset} changed while"
+                       " it was read; run again"}
+        assert not (out / "metadata.json").exists()
 
     def test_diverging_training_stops_with_error_document(self, dataset, tmp_path, capsys):
         out = tmp_path / "div"

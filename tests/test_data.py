@@ -530,6 +530,7 @@ class TestSidecar:
             a, b = getattr(cold, name), getattr(warm, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             assert not a.flags.writeable and not b.flags.writeable, name
+        assert cold.sha256 == warm.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "ds.csv.npy"]
 
     def test_edited_csv_loads_its_new_values(self, csv, monkeypatch):
@@ -620,7 +621,7 @@ class TestSidecar:
             return ds
 
         monkeypatch.setattr(qpose.data, "_parse_csv", parse_then_touch)
-        load_csv(csv)
+        assert load_csv(csv).sha256 is None
         assert [p.name for p in csv.parent.iterdir()] == ["ds.csv"]
 
     def test_bad_csv_writes_no_sidecar_and_keeps_its_error(self, csv):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity_normalizer, loop_binary_roc, pairwise_auc
+from oracles import (cross, identity_normalizer, loop_binary_roc, pairwise_auc, roc_counts,
+                     roc_vertices)
 from rows import rows
 from qpose.data import (
     Domain,
@@ -48,6 +49,48 @@ class ScoreTable:
 
 def make_samples(labels):
     return rows(np.zeros((len(labels), N_FEATURES)), labels, Domain.TARGET)
+
+
+def tie_heavy(n, grid, seed, pos_rate):
+    """Scores on a grid of 2 * grid + 1 values (continuous for grid 0), a
+    fifth of them -0.0, and positive flags with at least one of each."""
+    rng = np.random.default_rng(seed)
+    # grid 0 draws continuous scores; the others force ties, and signed
+    # zeros must fall into one tie group with +0.0
+    scores = rng.normal(size=n) if grid == 0 else rng.integers(-grid, grid + 1, n) / grid
+    scores[rng.random(n) < 0.2] = -0.0
+    positive = rng.random(n) < pos_rate
+    positive[:2] = [True, False]
+    return scores, positive
+
+
+def assert_vertex_curve(scores, positive):
+    """Check `binary_roc`'s vertices against the loop oracle's full curve:
+    a subsequence of it with its first and last point, no three in a row
+    collinear, every full-curve point on the polyline and the polyline's
+    exact trapezoid area equal to the AUC. Returns the curve."""
+    got = binary_roc(scores, positive)
+    full_fpr, full_tpr, _ = loop_binary_roc(scores, positive)
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    pairs = list(zip(got.fpr.tolist(), got.tpr.tolist()))
+    full_pairs = list(zip(full_fpr.tolist(), full_tpr.tolist()))
+    rest = iter(full_pairs)
+    assert all(pair in rest for pair in pairs)
+    assert pairs[0] == full_pairs[0] and pairs[-1] == full_pairs[-1]
+    vertices = roc_counts(got.fpr, got.tpr, n_neg, n_pos)
+    assert all(cross(*three) != 0 for three in zip(vertices, vertices[1:], vertices[2:]))
+    segment = 0
+    for point in roc_counts(full_fpr, full_tpr, n_neg, n_pos):
+        while point[0] > vertices[segment + 1][0] or point[1] > vertices[segment + 1][1]:
+            segment += 1
+        start, end = vertices[segment], vertices[segment + 1]
+        assert start[0] <= point[0] and start[1] <= point[1]
+        assert cross(start, end, point) == 0
+    area = sum(Fraction(b[0] - a[0], n_neg) * Fraction(a[1] + b[1], 2 * n_pos)
+               for a, b in zip(vertices, vertices[1:]))
+    assert float(area) == got.auc
+    return got
 
 
 class TestBinaryRoc:
@@ -107,17 +150,32 @@ class TestBinaryRoc:
            seed=st.integers(0, 2**32 - 1), pos_rate=st.floats(0.01, 0.99))
     @settings(max_examples=80, deadline=None)
     def test_equals_loop_oracle_bitwise(self, n, grid, seed, pos_rate):
-        rng = np.random.default_rng(seed)
-        # grid 0 draws continuous scores; the others force ties, and signed
-        # zeros must fall into one tie group with +0.0
-        scores = rng.normal(size=n) if grid == 0 else rng.integers(-grid, grid + 1, n) / grid
-        scores[rng.random(n) < 0.2] = -0.0
-        positive = rng.random(n) < pos_rate
-        positive[:2] = [True, False]
+        scores, positive = tie_heavy(n, grid, seed, pos_rate)
         got = binary_roc(scores, positive)
         fpr, tpr, auc = loop_binary_roc(scores, positive)
+        n_pos = int(positive.sum())
+        fpr, tpr = roc_vertices(fpr, tpr, n - n_pos, n_pos)
         assert np.array_equal(got.fpr, fpr) and np.array_equal(got.tpr, tpr)
         assert got.auc == auc
+
+    @given(n=st.integers(2, 2000), grid=st.sampled_from([2, 3, 7, 50, 0]),
+           seed=st.integers(0, 2**32 - 1), pos_rate=st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_vertices_trace_the_full_curve(self, n, grid, seed, pos_rate):
+        assert_vertex_curve(*tie_heavy(n, grid, seed, pos_rate))
+
+    def test_all_tied_scores_give_two_vertices(self):
+        roc = assert_vertex_curve(np.full(10, 0.5), np.array([1, 0] * 5, dtype=bool))
+        assert roc.fpr.tolist() == roc.tpr.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("scores, fpr, tpr", [
+        ([0.9, 0.1], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]),
+        ([0.1, 0.9], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]),
+        ([0.5, 0.5], [0.0, 1.0], [0.0, 1.0]),
+    ])
+    def test_one_positive_against_one_negative(self, scores, fpr, tpr):
+        roc = assert_vertex_curve(np.array(scores), np.array([True, False]))
+        assert roc.fpr.tolist() == fpr and roc.tpr.tolist() == tpr
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_scores_rejected(self, bad):
