@@ -255,10 +255,7 @@ def cmd_train(args, dataset, out_dir: Path) -> dict:
     from .serialize import save_checkpoint
 
     count = _subset_count(args, dataset, Domain.SOURCE, "labeled_count", "labeled_fraction",
-                          default=0.5, least=0)
-    if count == 0:
-        flag = "--labeled-fraction" if args.labeled_count is None else "--labeled-count"
-        raise ValueError(f"labeled source split is empty; raise {flag}")
+                          default=0.5)
     split = split_labeled(dataset, Domain.SOURCE, count=count, seed=args.seed)
     model, losses = _fit(args, split.labeled, args.seed, k=args.k,
                          eval_samples=split.evaluation or None)
@@ -315,14 +312,14 @@ def cmd_transfer(args, dataset, out_dir: Path) -> dict:
 
 
 def _subset_count(args, dataset, domain, count_name: str, fraction_name: str, *,
-                  default: float, least: int = 1) -> int:
+                  default: float) -> int:
     """The rows a subset takes of ``dataset``'s ``domain`` rows: the count
     flag ``args.<count_name>``, or else the fraction flag
     ``args.<fraction_name>`` (``default`` when neither is given) by
-    `split_labeled`'s rounding. Both flags given, a count outside
-    least..rows, a fraction outside [0, 1] (``(0, 1]`` when ``least`` is 1)
-    or one that rounds to fewer than ``least`` rows fails here, naming the
-    flag as the user typed it, before any split is drawn or model scored."""
+    `split_labeled`'s rounding. Both flags given, a count outside 1..rows,
+    a fraction outside (0, 1] or one that rounds to 0 rows fails here,
+    naming the flag as the user typed it, before any split is drawn or
+    model scored."""
     from .data import fraction_count
 
     count, fraction = getattr(args, count_name), getattr(args, fraction_name)
@@ -332,16 +329,15 @@ def _subset_count(args, dataset, domain, count_name: str, fraction_name: str, *,
     if count is not None:
         if fraction is not None:
             raise ValueError(f"give {count_flag} or {fraction_flag}, not both")
-        if not least <= count <= n:
-            raise ValueError(f"{count_flag} must lie in {least}..{n}, the {domain.value} row"
+        if not 1 <= count <= n:
+            raise ValueError(f"{count_flag} must lie in 1..{n}, the {domain.value} row"
                              f" count, got {count}")
         return count
     fraction = default if fraction is None else fraction
-    if not (0 < fraction <= 1 if least else 0 <= fraction <= 1):
-        raise ValueError(f"{fraction_flag} must lie in {'(' if least else '['}0, 1],"
-                         f" got {fraction}")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"{fraction_flag} must lie in (0, 1], got {fraction}")
     count = fraction_count(fraction, n)
-    if count < least:
+    if count < 1:
         raise ValueError(f"{fraction_flag} {fraction} of the {n} {domain.value} rows rounds to"
                          f" 0 rows; the {args.command} subset must be nonempty")
     return count

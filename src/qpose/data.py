@@ -155,7 +155,8 @@ class FeatureNormalizer:
         value can give under a small scale, raises ValueError without a
         numpy warning; every model kind reads its features through this."""
         with np.errstate(over="ignore", invalid="ignore"):
-            z = (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean) / self.std
+            z = np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean
+            z /= self.std
         if not np.isfinite(z).all():
             raise ValueError("input features must be finite")
         return z

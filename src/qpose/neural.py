@@ -62,10 +62,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(batch), labels]))
-    grad = softmax(logits)
-    grad[np.arange(batch), labels] -= 1.0
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    picked = np.arange(batch), labels
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[picked]))
+    grad = e / total
+    grad[picked] -= 1.0
     return loss, grad / batch
 
 

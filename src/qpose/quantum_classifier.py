@@ -36,9 +36,13 @@ columns with its own angles, when their shifts fork at the same gates: a
 full-gradient sample there runs 3 staircases of 14 RY and 5 CZ kernel
 calls instead of 6 of 38 and 14. `cone_stacks` caches the stacked groups
 and their local gates, as ``(target, control)`` pairs, and `_sweep_parts`
-their split by the shifted slots of a call. A staircase is read out in one
+their split by the shifted slots of a call, with a ragged layout of one
+RY angle per gate and live block. A staircase takes the cos and signed
+sines of that whole layout at once, so each RY gate is one three-op
+`ry_rows` call on a contiguous slice. A staircase is read out in one
 call, whose elementwise butterfly gives every circuit the same bits
-whatever the batch, chunk or stack it runs in. A circuit whose widest
+whatever the batch, chunk or stack it runs in, and reaches the output in
+one gather and one assignment. A circuit whose widest
 group would hold more than `MAX_CONE_AMPLITUDES` amplitudes is refused
 when its `StdAnsatz` is made.
 
@@ -241,11 +245,18 @@ def cone_stacks(n_qubits: int, n_layers: int):
 @lru_cache(maxsize=64)
 def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
     """`cone_stacks` split by which RY gates carry one of ``slots``: a tuple
-    of ``(width, gates, local, forks, table, readout, src)`` per part, where
-    ``forks`` marks the RY gates that fork, ``table`` and ``readout`` are
-    the part's rows of the stack's arrays, and ``src`` (m, 1 + 2K) maps
-    every output block to the staircase block each group reads it from:
-    the base unless the shift lies in the group's cone."""
+    of ``(width, gates, local, bounds, angle_slots, shifts, src, groups,
+    readout)`` per part of m groups that fork at the same gates.
+
+    The RY angles of a staircase are laid out ragged, one entry per block
+    live at each RY gate: 1 + 2 x the forks so far, the base blocks first
+    and the gate's own +-pi/2 pair last when it forks. Gate g's entries are
+    ``bounds[g]:bounds[g + 1]``; ``angle_slots`` (E, m) holds each entry's
+    angle slot per group and ``shifts`` (E, 1, 1) its shift, 0 or +-pi/2.
+    ``src`` (1 + 2K, m, 1) maps every output block to the staircase block
+    each group reads it from, the base unless the shift lies in the group's
+    cone; ``groups`` (m, 1) numbers the groups and ``readout`` (1, m, r)
+    holds their readout qubits, so one gather reads a part out."""
     caller = np.full(n_qubits + 2 * (n_qubits - 1) * n_layers, -1)
     caller[list(slots)] = np.arange(len(slots))
     parts = []
@@ -256,15 +267,22 @@ def _sweep_parts(n_qubits: int, n_layers: int, slots: tuple[int, ...]):
             split.setdefault(forks.tobytes(), []).append(c)
         for members in split.values():
             forks = where[members[0]] >= 0
+            live = 1 + 2 * np.cumsum(forks)
+            gate = np.repeat(np.arange(len(forks)), live)
+            shifts = np.zeros(len(gate))
+            ends = np.cumsum(live)
+            shifts[ends[forks] - 2] = np.pi / 2
+            shifts[ends[forks] - 1] = -np.pi / 2
             src = np.zeros((len(members), 1 + 2 * len(slots)), dtype=np.intp)
             plus = 1 + 2 * where[members][:, forks]
             group = np.arange(len(members))[:, None]
             src[group, plus] = np.arange(1, plus.shape[1] * 2, 2)
             src[group, plus + 1] = np.arange(2, plus.shape[1] * 2 + 1, 2)
-            part = (forks, table[members], readout[members], src)
+            part = (table[members][:, gate].T, shifts[:, None, None], src.T[:, :, None],
+                    group, readout[members][None])
             for array in part:
                 array.flags.writeable = False
-            parts.append((width, gates, local, *part))
+            parts.append((width, gates, local, (0, *ends.tolist()), *part))
     return tuple(parts)
 
 
@@ -277,44 +295,58 @@ def _staircase_sweep(ansatz: StdAnsatz, angles: np.ndarray, slots: list[int]) ->
     side by side, as many as fit `_CHUNK_AMPLITUDES`. Chunks hold as many
     rows as fit it for one group, at least one. A shift outside a group's
     cone leaves its readout at the base value, so those blocks take the
-    base readout.
+    base readout: one gather through ``src`` reads every group's blocks
+    out, and one assignment writes them.
     """
     rows = angles.shape[0]
     out = np.empty((1 + 2 * len(slots), rows, ansatz.n_qubits))
+    which = np.arange(len(out))[:, None, None]
     parts = _sweep_parts(ansatz.n_qubits, ansatz.n_layers, tuple(slots))
-    for width, gates, local, forks, table, readout, src in parts:
-        blocks = 1 + 2 * int(forks.sum())
+    for width, gates, local, bounds, angle_slots, shifts, src, groups, readout in parts:
+        blocks = bounds[-1] - bounds[-2]
         per_chunk = max(1, _CHUNK_AMPLITUDES // (blocks << width))
         chunk_rows = max(1, min(rows, per_chunk))
         per_stack = max(1, _CHUNK_AMPLITUDES // (blocks * chunk_rows << width))
-        for first in range(0, len(table), per_stack):
+        for first in range(0, len(groups), per_stack):
             stack = slice(first, first + per_stack)
+            stack_slots, stack_src, stack_readout = (
+                angle_slots[:, stack], src[:, stack], readout[:, stack])
+            stack_groups = groups[: stack_slots.shape[1]]
             for lo in range(0, rows, per_chunk):
                 chunk = angles[lo : lo + per_chunk]
-                z = _cone_staircase(width, gates, forks, table[stack], chunk)[..., local]
-                for i, z_i in enumerate(z, start=first):
-                    out[:, lo : lo + len(chunk), readout[i]] = z_i[src[i]]
+                z = _cone_staircase(width, gates, bounds, stack_slots, shifts, chunk)
+                out[which, lo : lo + len(chunk), stack_readout] = \
+                    z[stack_src, stack_groups, :, local]
     return out
 
 
-def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
+def _cone_staircase(width: int, gates, bounds, angle_slots: np.ndarray, shifts: np.ndarray,
                     chunk: np.ndarray) -> np.ndarray:
     """Run ``gates`` on ``width`` qubits for m congruent groups at once: the
     base circuit of every ``chunk`` row and its +-pi/2 shifts at the RY
-    gates marked in ``forks``, in one pass over the gates.
+    gates that fork, in one pass over the gates.
 
-    ``table`` (m, G) holds each group's angle slot of its G RY gates. A
-    circuit shifted at slot j equals the base circuit up to j's RY gate, so
-    the shifted pair is copied from the base states right there and only
-    the remaining gates run on it. The s rows run as a (2^w, B * m * s)
-    buffer of B = 1 + 2K blocks in gate order, each holding every group's
-    s states, so the states live at any gate are a leading column slice.
-    Returns the (m, B, s, width) readout, read in one call.
+    ``bounds``, ``angle_slots`` (E, m) and ``shifts`` are a part's ragged
+    RY layout (`_sweep_parts`). A circuit shifted at slot j equals the base
+    circuit up to j's RY gate, so the shifted pair is copied from the base
+    states right there and only the remaining gates run on it. The s rows
+    run as a (2^w, B * m * s) buffer of B = 1 + 2K blocks in gate order,
+    each holding every group's s states, so the states live at any gate
+    are a leading column slice. The cos and signed sines of every half
+    angle are taken up front, (E, m * s), gate g reading a contiguous
+    slice. Returns the (B, m, s, width) readout, read in one call.
     """
-    m, s = table.shape[0], chunk.shape[0]
-    blocks = 1 + 2 * int(forks.sum())
+    m, s = angle_slots.shape[1], chunk.shape[0]
+    blocks = bounds[-1] - bounds[-2]
     cols = m * s
-    angles = chunk.T
+    half = chunk.T[angle_slots]
+    half += shifts
+    half *= 0.5
+    half = half.ravel()
+    sines = np.empty((2, half.size))
+    np.sin(half, out=sines[1])
+    np.negative(sines[1], out=sines[0])
+    cos = np.cos(half, out=half)
     amps = zero_states(width, batch=blocks * cols)
     live = cols
     g = 0
@@ -322,16 +354,15 @@ def _cone_staircase(width: int, gates, forks: np.ndarray, table: np.ndarray,
         if control is not None:
             cz_rows(amps[:, :live], control, target)
             continue
-        base = angles[table[:, g]].ravel()
-        theta = [base] * (live // cols)
-        if forks[g]:
+        start, stop = bounds[g] * cols, bounds[g + 1] * cols
+        if stop - start > live:
             amps[:, live : live + 2 * cols].reshape(-1, 2, cols)[:] = amps[:, None, :cols]
-            theta += [base + np.pi / 2, base - np.pi / 2]
-            live += 2 * cols
-        ry_rows(amps[:, :live], target, np.concatenate(theta))
+        live = stop - start
+        ry_rows(amps[:, :live], target, cos[start:stop], sines[:, start:stop])
         g += 1
+    del half, cos, sines  # free the factors before the readout's buffers
     amps *= amps
-    return z_expectations_rows(amps.T).reshape(blocks, m, s, width).swapaxes(0, 1)
+    return z_expectations_rows(amps.T).reshape(blocks, m, s, width)
 
 
 @dataclass(eq=False)
@@ -415,7 +446,7 @@ class DressedQnnModel:
         """
         names = set(self.params) if needed is None else set(needed)
         n = self.ansatz.n_qubits
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = self.normalizer.transform(x)
         labels = np.atleast_1d(np.asarray(labels))
 
         slots: list[int] = []
@@ -425,7 +456,7 @@ class DressedQnnModel:
         want_theta = "theta" in names
         if want_theta:
             slots.extend(range(n, self.ansatz.n_slots))
-        rows = self._angle_rows(self.encoding_angles(x))
+        rows = self._angle_rows(x @ self.params["in.w"] + self.params["in.b"])
         z, z_plus, z_minus = z_from_angles(self.ansatz, rows, slots=slots)
         logits = z @ self.params["out.w"] + self.params["out.b"]
         loss, grad_logits = softmax_cross_entropy(logits, labels)
@@ -443,7 +474,7 @@ class DressedQnnModel:
             k0 = 0
             if want_encoding:
                 enc_grad = slot_grad[:, :n]
-                grads["in.w"] = self.normalizer.transform(x).T @ enc_grad
+                grads["in.w"] = x.T @ enc_grad
                 grads["in.b"] = enc_grad.sum(axis=0)
                 k0 = n
             if want_theta:

@@ -16,6 +16,9 @@ every state. A gate then pairs whole rows, so each kernel call is a few
 long row operations whatever the batch, O(2^n) work per gate and state; a
 2^n x 2^n matrix is never materialized. A column slice of the buffer is a
 valid argument, which lets a caller run a gate on its leading states only.
+`ry_rows(amps, qubit, cos, sines)` takes its angle as the half-angle
+factors of `ry_factors`, so a caller can take the cos and sin of many gates
+in one pass; the kernel itself is three in-place row operations.
 `z_expectations_rows` reads out (batch, 2^n) basis-state probabilities, one
 state per row, by elementwise adds and subtracts in an order fixed by n,
 so a state's <Z> has the same bits in any batch, strides or SIMD width; no
@@ -46,25 +49,31 @@ def zero_states(n_qubits: int, batch: int = 1) -> np.ndarray:
     return amps
 
 
-def ry_rows(amps: np.ndarray, qubit: int, theta) -> None:
-    """Apply RY(theta) on ``qubit`` to every state (column) of ``amps``, in
-    place.
+def ry_factors(theta):
+    """The factors `ry_rows` takes for RY(``theta``): ``(cos, sines)``, the
+    cosine of the half angle and the (2, ...) pair (-sin, +sin) of it, for a
+    scalar ``theta`` or a per-column vector."""
+    half = np.multiply(theta, 0.5)
+    sin = np.sin(half)
+    return np.cos(half), np.stack([-sin, sin])
 
-    ``theta`` is a scalar shared by all states or a per-column vector.
+
+def ry_rows(amps: np.ndarray, qubit: int, cos, sines) -> None:
+    """Apply RY on ``qubit`` to every state (column) of ``amps``, in place,
+    from its `ry_factors`: ``cos`` a scalar or per-column vector and
+    ``sines`` the matching (2, ...) pair (-sin, +sin).
+
+    Three operations: the pair-swapped amplitudes times their signed sines,
+    then ``a * cos`` plus that. Each amplitude takes the two products and
+    the one add or subtract of a 2x2 rotation; negation is exact, so
+    ``a0 * c + (-s) * a1`` has the bits of ``a0 * c - s * a1``.
     """
     dim, batch = amps.shape
     _check_qubit(qubit, dim.bit_length() - 1)
-    low = 1 << qubit
-    view = amps.reshape(dim >> (qubit + 1), 2, low, batch)
-    c = np.cos(np.multiply(theta, 0.5))
-    s = np.sin(np.multiply(theta, 0.5))
-    a0 = view[:, 0]
-    a1 = view[:, 1]
-    s_a0 = s * a0
-    a0 *= c
-    a0 -= s * a1
-    a1 *= c
-    a1 += s_a0
+    view = amps.reshape(dim >> (qubit + 1), 2, 1 << qubit, batch)
+    swapped = sines.reshape(2, 1, -1) * view[:, ::-1]
+    view *= cos
+    view += swapped
 
 
 def cz_rows(amps: np.ndarray, a: int, b: int) -> None:

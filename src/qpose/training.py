@@ -65,8 +65,11 @@ class NonFiniteLossError(ArithmeticError):
 
 
 def _first_nonfinite(arrays: dict, skip) -> str | None:
+    # a NaN or inf anywhere makes the sum non-finite; only a sum that
+    # overflows on finite entries needs the exact elementwise test
     return next((name for name, a in arrays.items()
-                 if name not in skip and not np.isfinite(a).all()), None)
+                 if name not in skip and not math.isfinite(a.sum())
+                 and not np.isfinite(a).all()), None)
 
 
 def _step(model, optimizer: AdamW, x, y, needed) -> tuple[float, str | None]:

@@ -18,7 +18,11 @@ The exceptions drive the production kernels (`ry_rows`, `cz_rows`,
 single-state helpers `apply_ry`, `apply_cz` and `expectation_z`, which the
 tests check against the Kronecker oracle, and `full_width_sweep`, the
 all-qubit staircase that the light cones of `z_from_angles` must match to
-1e-12. `per_cone_sweep` runs the light-cone groups of `walk_light_cones`
+1e-12. `per_gate_sweep` is the sweep of `z_from_angles` before its RY
+factors were taken once a staircase: each light-cone group of
+`cone_stacks` alone, every RY gate building its angles and taking their
+cos and sin as it runs, through `six_op_ry_rows`, the kernel `ry_rows`
+replaced. `z_from_angles` must match it bit for bit. `per_cone_sweep` runs the light-cone groups of `walk_light_cones`
 one at a time on row-major (states, 2^w) buffers, all rows at once, with
 its own row kernels and the production readout: the form that the
 basis-major, stacked and chunked sweep of `z_from_angles` must match bit
@@ -59,7 +63,8 @@ from mpmath import mp, mpf
 from qpose.data import (CSV_BLOCK_ROWS, CSV_HEADER, N_CLASSES, N_FEATURES, CsvFormatError,
                         Dataset, Domain, FeatureNormalizer, apportion)
 from qpose.neural import _mish_derivative, softplus
-from qpose.statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
+from qpose.quantum_classifier import cone_stacks
+from qpose.statevector import cz_rows, ry_factors, ry_rows, z_expectations_rows, zero_states
 
 
 def dressed_gates(n_qubits: int, n_layers: int) -> list[tuple]:
@@ -171,7 +176,7 @@ def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
     amps = zero_states(n_qubits)
     for target, control, slot in ops:
         if control is None:
-            ry_rows(amps, target, float(params[slot]))
+            ry_rows(amps, target, *ry_factors(float(params[slot])))
         else:
             cz_rows(amps, control, target)
     return amps[:, 0]
@@ -180,7 +185,7 @@ def run_circuit(n_qubits: int, ops, params) -> np.ndarray:
 def apply_ry(amps: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """RY rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]] on one qubit."""
     out = np.array(amps, dtype=np.float64).reshape(-1, 1)
-    ry_rows(out, qubit, float(theta))
+    ry_rows(out, qubit, *ry_factors(float(theta)))
     return out[:, 0]
 
 
@@ -230,13 +235,69 @@ def full_width_sweep(ansatz, angles, slots=()):
                 amps[:, live : live + 2 * s].reshape(-1, 2, s)[:] = amps[:, None, :s]
                 theta = np.concatenate([theta, column + np.pi / 2, column - np.pi / 2])
                 live += 2 * s
-            ry_rows(amps[:, :live], target, theta)
+            ry_rows(amps[:, :live], target, *ry_factors(theta))
         probs = np.ascontiguousarray(amps.T)
         out[:, lo : lo + s] = z_expectations_rows(probs * probs).reshape(blocks, s, n)
     rank = np.argsort(order)
     z_plus = out[1 + 2 * rank].transpose(1, 0, 2)
     z_minus = out[2 + 2 * rank].transpose(1, 0, 2)
     return out[0], z_plus, z_minus
+
+
+def six_op_ry_rows(amps: np.ndarray, qubit: int, theta) -> None:
+    """RY(theta) on ``qubit`` of every column of a basis-major (2^n, batch)
+    buffer, in place, taking the half angle's cos and sin itself and then
+    six row operations: the kernel before `ry_rows` took `ry_factors`."""
+    dim, batch = amps.shape
+    view = amps.reshape(dim >> (qubit + 1), 2, 1 << qubit, batch)
+    c = np.cos(np.multiply(theta, 0.5))
+    s = np.sin(np.multiply(theta, 0.5))
+    a0 = view[:, 0]
+    a1 = view[:, 1]
+    s_a0 = s * a0
+    a0 *= c
+    a0 -= s * a1
+    a1 *= c
+    a1 += s_a0
+
+
+def per_gate_sweep(ansatz, angles, slots=None):
+    """`z_from_angles` gate by gate: every group of `cone_stacks` alone, all
+    rows at once on a basis-major buffer, each RY gate's angles built from
+    its column as it runs and rotated by `six_op_ry_rows`. Returns the base
+    circuit and, with ``slots``, its +-pi/2 shifts, the same way."""
+    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
+    shifted = [] if slots is None else [int(j) for j in slots]
+    rows = angles.shape[0]
+    out = np.empty((1 + 2 * len(shifted), rows, ansatz.n_qubits))
+    for width, gates, local, table, readout in cone_stacks(ansatz.n_qubits, ansatz.n_layers):
+        for group_slots, group_readout in zip(table.tolist(), readout):
+            forks = [g for g, slot in enumerate(group_slots) if slot in shifted]
+            amps = zero_states(width, batch=(1 + 2 * len(forks)) * rows)
+            live = 1  # blocks
+            g = 0
+            for target, control in gates:
+                if control is not None:
+                    cz_rows(amps[:, : live * rows], control, target)
+                    continue
+                column = angles[:, group_slots[g]]
+                theta = [column] * live
+                if g in forks:
+                    amps[:, live * rows : (live + 2) * rows].reshape(-1, 2, rows)[:] = \
+                        amps[:, None, :rows]
+                    theta += [column + np.pi / 2, column - np.pi / 2]
+                    live += 2
+                six_op_ry_rows(amps[:, : live * rows], target, np.concatenate(theta))
+                g += 1
+            amps *= amps
+            z = z_expectations_rows(amps.T).reshape(live, rows, width)[:, :, local]
+            block = {group_slots[g]: 1 + 2 * i for i, g in enumerate(forks)}
+            src = [0] + [b for j in shifted
+                         for b in ((block[j], block[j] + 1) if j in block else (0, 0))]
+            out[:, :, group_readout] = z[src]
+    if slots is None:
+        return out[0]
+    return out[0], out[1::2].transpose(1, 0, 2), out[2::2].transpose(1, 0, 2)
 
 
 def _row_ry(amps: np.ndarray, qubit: int, theta) -> None:

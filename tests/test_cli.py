@@ -176,19 +176,23 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag", ["--labeled-count", "--labeled-fraction"])
     def test_empty_labeled_split_names_the_flag_given(self, dataset, tmp_path, capsys, flag):
+        # an empty split is out of the flag's range, as in transfer
         code = run_cli(["train", "--seed", "0", "--data", str(dataset), "--model", "knn",
                         flag, "0"], tmp_path / "e")
         assert code == 1
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert doc["message"] == f"labeled source split is empty; raise {flag}"
+        assert doc["message"] == {
+            "--labeled-count": "--labeled-count must lie in 1..160, the source row count, got 0",
+            "--labeled-fraction": "--labeled-fraction must lie in (0, 1], got 0.0",
+        }[flag]
 
 
     @pytest.mark.parametrize("flags, message", [
         (["--labeled-fraction", "0.5", "--labeled-count", "10"],
          "give --labeled-count or --labeled-fraction, not both"),
-        (["--labeled-fraction", "nan"], "--labeled-fraction must lie in [0, 1], got nan"),
+        (["--labeled-fraction", "nan"], "--labeled-fraction must lie in (0, 1], got nan"),
         (["--labeled-count", "100000"],
-         "--labeled-count must lie in 0..160, the source row count, got 100000"),
+         "--labeled-count must lie in 1..160, the source row count, got 100000"),
     ])
     def test_bad_split_flags_are_named_before_the_split(self, dataset, tmp_path, capsys,
                                                         monkeypatch, flags, message):

@@ -16,6 +16,7 @@ from oracles import (
     full_width_sweep,
     identity_normalizer,
     per_cone_sweep,
+    per_gate_sweep,
     run_circuit,
     simulate_dense,
     walk_cone_stacks,
@@ -414,6 +415,34 @@ class TestStackedSweep:
                 assert [(target, control) for target, control, _ in group_ops] == list(gates)
 
 
+class TestPerGateSweep:
+    """The sweep with each staircase's RY factors taken in one pass against
+    the sweep that builds and rotates every gate's angles as it runs,
+    compared as int64 bit patterns."""
+
+    @pytest.mark.parametrize("chunk", [8 * 1024, 256 * 1024])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bit_identical_to_per_gate_sweep(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(quantum_classifier, "_CHUNK_AMPLITUDES", chunk)
+        rng = np.random.default_rng(n)
+        for layers in (1, 2, 3):
+            ansatz = StdAnsatz(n, layers)
+            k = ansatz.n_slots
+            half = sorted(rng.permutation(k)[: k // 2].tolist())
+            for slots in (None, list(range(k)), list(range(n, k)), half):
+                for count in (1, 4, 37):
+                    rows = rng.uniform(-np.pi, np.pi, (count, k))
+                    got = z_from_angles(ansatz, rows, slots=slots)
+                    want = per_gate_sweep(ansatz, rows, slots)
+                    if slots is None:
+                        got, want = (got,), (want,)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape
+                        assert np.array_equal(np.ascontiguousarray(g).view(np.int64),
+                                              np.ascontiguousarray(w).view(np.int64)), \
+                            (layers, slots, count)
+
+
 def forward_reach(ops, g):
     """Qubits gate g can influence: its own, spread by every later CZ that
     touches one of them."""
@@ -508,9 +537,9 @@ class TestLightCone:
         row = np.random.default_rng(5).uniform(-np.pi, np.pi, (1, ansatz.n_slots))
         traffic = {}
         for module in (quantum_classifier, oracles):
-            def counting(amps, qubit, theta, kernel=module.ry_rows, name=module.__name__):
+            def counting(amps, qubit, cos, sines, kernel=module.ry_rows, name=module.__name__):
                 traffic[name] = traffic.get(name, 0) + amps.size
-                kernel(amps, qubit, theta)
+                kernel(amps, qubit, cos, sines)
             monkeypatch.setattr(module, "ry_rows", counting)
         slots = range(ansatz.n_slots)
         z_from_angles(ansatz, row, slots=slots)

@@ -15,9 +15,10 @@ from oracles import (
     random_circuit,
     run_circuit,
     simulate_dense,
+    six_op_ry_rows,
     z_expectation_dense,
 )
-from qpose.statevector import cz_rows, ry_rows, z_expectations_rows, zero_states
+from qpose.statevector import cz_rows, ry_factors, ry_rows, z_expectations_rows, zero_states
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
@@ -164,7 +165,7 @@ class TestBatchedRowKernels:
         rng = np.random.default_rng(31)
         thetas = rng.uniform(-np.pi, np.pi, 5)
         amps = zero_states(3, batch=5)
-        ry_rows(amps, 1, thetas)
+        ry_rows(amps, 1, *ry_factors(thetas))
         for i, theta in enumerate(thetas):
             expected = apply_ry(zero(3), 1, theta)
             np.testing.assert_allclose(amps[:, i], expected, atol=1e-12)
@@ -187,12 +188,47 @@ class TestBatchedRowKernels:
         amps = rng.normal(size=(8, 7))
         thetas = rng.uniform(-np.pi, np.pi, 4)
         before = amps.copy()
-        ry_rows(amps[:, :4], qubit, thetas)
+        ry_rows(amps[:, :4], qubit, *ry_factors(thetas))
         cz_rows(amps[:, :4], qubit, (qubit + 1) % 3)
         np.testing.assert_array_equal(amps[:, 4:], before[:, 4:])
         for i, theta in enumerate(thetas):
             expected = apply_cz(apply_ry(before[:, i], qubit, theta), qubit, (qubit + 1) % 3)
             np.testing.assert_array_equal(amps[:, i], expected)
+
+
+class TestRyRows:
+    """The three-op RY kernel on its half-angle factors."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_is_a_2x2_rotation_on_every_qubit(self, n):
+        rng = np.random.default_rng(60 + n)
+        amps = rng.normal(size=(1 << n, 6))
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
+        c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+        for qubit in range(n):
+            pairs = amps.reshape(-1, 2, 1 << qubit, 6)
+            want = np.stack([c * pairs[:, 0] - s * pairs[:, 1],
+                             s * pairs[:, 0] + c * pairs[:, 1]], axis=1).reshape(amps.shape)
+            got = amps.copy()
+            ry_rows(got, qubit, *ry_factors(thetas))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            # on a leading column slice: those columns turn, the others stay
+            got = amps.copy()
+            ry_rows(got[:, :4], qubit, *ry_factors(thetas[:4]))
+            np.testing.assert_allclose(got[:, :4], want[:, :4], rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(got[:, 4:], amps[:, 4:])
+
+    @pytest.mark.parametrize("shape", [(4, 7), (16, 57), (64, 1), (1024, 33), (16, 2080)])
+    def test_bits_of_the_six_op_kernel(self, shape):
+        # the same two products and one add or subtract per amplitude
+        rng = np.random.default_rng(shape[1])
+        amps = rng.normal(size=shape)
+        for theta in (rng.uniform(-2 * np.pi, 2 * np.pi, shape[1]), 0.7):
+            for qubit in range(shape[0].bit_length() - 1):
+                got, want = amps.copy(), amps.copy()
+                ry_rows(got, qubit, *ry_factors(theta))
+                six_op_ry_rows(want, qubit, theta)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (theta, qubit)
 
 
 def probability_rows(rng, rows, width):

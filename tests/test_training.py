@@ -22,6 +22,7 @@ from qpose.quantum_classifier import DressedQnnModel, StdAnsatz
 from qpose.training import (
     NonFiniteLossError,
     TrainConfig,
+    _first_nonfinite,
     pretrain,
     run_repeated,
     transfer_finetune,
@@ -74,6 +75,29 @@ def batches_seen(monkeypatch, model) -> list:
 
     monkeypatch.setattr(type(model), "loss_and_grad", spy)
     return seen
+
+
+class TestFirstNonfinite:
+    """The finite check sums each array first and tests it elementwise only
+    when the sum is not finite."""
+
+    @staticmethod
+    def arrays():
+        return {"a": np.full((2, 3), 1e308), "b": np.zeros(5),
+                "c": np.array([-1e308, -1e308, 1.0])}
+
+    def test_an_overflowing_sum_of_finite_entries_is_not_flagged(self):
+        with np.errstate(over="ignore"):
+            assert _first_nonfinite(self.arrays(), frozenset()) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["a", "b", "c"])
+    def test_a_nonfinite_value_names_its_entry(self, bad, entry):
+        arrays = self.arrays()
+        arrays[entry].flat[1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _first_nonfinite(arrays, frozenset()) == entry
+            assert _first_nonfinite(arrays, {entry}) is None
 
 
 class TestPretrain:
