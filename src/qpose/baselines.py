@@ -21,6 +21,13 @@ matrix, whatever bits the BLAS kernel gives the gemm: the gemm decides only
 how much gets re-ranked. A row whose shortlist fills up (distances tied
 within the margin, or S past `_HUGE`, where the gemm could overflow)
 re-ranks every reference, as the full sort did.
+
+Both score `SCORE_BLOCK_ROWS` query rows at a time, so a block's
+temporaries, not the batch, bound their memory: kNN's (rows, references)
+gemm and shortlist, and GNB's (rows, classes, features) squared
+differences. GNB's 36-feature sum runs per (row, class) over the
+contiguous last axis whatever the block, so its log posteriors have the
+bits of the whole batch in one expression.
 """
 
 from __future__ import annotations
@@ -29,13 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (N_CLASSES, N_FEATURES, CheckpointError, Dataset, FeatureNormalizer,
-                   check_config, checkpoint_arrays, features_matrix)
+from .data import (N_CLASSES, N_FEATURES, SCORE_BLOCK_ROWS, CheckpointError, Dataset,
+                   FeatureNormalizer, check_config, checkpoint_arrays, features_matrix)
 
-# Query rows per distance block: bounds the (rows, references) gemm and
-# shortlist temporaries instead of letting them grow with the query count;
-# the exact re-rank holds the differences of the shortlisted pairs only.
-_QUERY_CHUNK = 256
 # Shortlisted pairs re-ranked at a time: each step holds two (pairs, 36)
 # float arrays, 4.7 MB, however many pairs a block keeps (a row whose
 # distances tie within the margin keeps all of its references).
@@ -95,8 +98,8 @@ class KnnModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         z = self.normalizer.transform(x)
         nearest = np.empty((z.shape[0], self.k), dtype=np.intp)
-        for lo in range(0, z.shape[0], _QUERY_CHUNK):
-            nearest[lo : lo + _QUERY_CHUNK] = self._nearest(z[lo : lo + _QUERY_CHUNK])
+        for lo in range(0, z.shape[0], SCORE_BLOCK_ROWS):
+            nearest[lo : lo + SCORE_BLOCK_ROWS] = self._nearest(z[lo : lo + SCORE_BLOCK_ROWS])
         votes = self.labels[nearest]
         scores = np.zeros((z.shape[0], N_CLASSES))
         for c in range(N_CLASSES):
@@ -188,13 +191,19 @@ class GnbModel:
         return {}, {k: v.tolist() for k, v in params.items()}
 
     def log_posteriors(self, x: np.ndarray) -> np.ndarray:
-        """Unnormalized: log prior + sum_f log N(x_f; mu_cf, var_cf)."""
+        """Unnormalized: log prior + sum_f log N(x_f; mu_cf, var_cf), a
+        block of rows at a time (module doc)."""
         z = self.normalizer.transform(x)
-        diff = z[:, None, :] - self.means[None, :, :]
-        log_density = -0.5 * (
-            np.log(2.0 * np.pi * self.variances)[None, :, :] + diff**2 / self.variances[None, :, :]
-        ).sum(axis=2)
-        return np.log(self.priors)[None, :] + log_density
+        log_norm = np.log(2.0 * np.pi * self.variances)
+        log_priors = np.log(self.priors)
+        out = np.empty((z.shape[0], N_CLASSES))
+        for lo in range(0, z.shape[0], SCORE_BLOCK_ROWS):
+            terms = z[lo : lo + SCORE_BLOCK_ROWS, None, :] - self.means
+            np.square(terms, out=terms)
+            terms /= self.variances
+            terms += log_norm
+            out[lo : lo + SCORE_BLOCK_ROWS] = log_priors + -0.5 * terms.sum(axis=2)
+        return out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         lp = self.log_posteriors(x)

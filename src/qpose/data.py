@@ -49,6 +49,9 @@ import numpy as np
 N_FEATURES = 36
 N_CLASSES = 8
 ANCHOR_SIGMA = 5.0
+# Rows a DNN, kNN or GNB scoring call works on at a time: a block's
+# temporaries stay near L2 size, whatever the number of rows scored.
+SCORE_BLOCK_ROWS = 256
 
 # Default per-pose mixing weights for the synthetic generator (per-domain
 # sample mix observed across the original measurement sessions).

@@ -10,6 +10,11 @@ pairwise comparison
 bit for bit, not merely within tolerance. Scores must be finite: NaN has
 no place in a ranking.
 
+The sort need not be stable. The curve and the AUC use only each tie
+group's counts of positives and negatives, which do not depend on the
+order inside the group; -0.0 and +0.0 compare equal, so they sort into one
+run and `np.diff` puts them in one group.
+
 A curve is kept as its vertices: the origin, the end of each tie group
 whose step turns into the next group's (an exact integer cross product of
 the two steps' counts), and (1, 1). A dropped point lies on the segment
@@ -85,7 +90,7 @@ def binary_roc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     s = scores[order]
     # one group per run of tied scores, in descending score order
     starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))

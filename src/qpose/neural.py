@@ -8,8 +8,14 @@ test suite checks every one against central finite differences.
 
 Softplus is formed from ``exp`` and ``log1p``, which numpy runs as vector
 loops. The training forward keeps each Mish layer's softplus and its tanh,
-and backprop forms Mish' from them without recomputing either; the scoring
-forward keeps no cache and holds only the running activation.
+and backprop forms Mish' from them without recomputing either. The scoring
+forward keeps no cache. It holds two (rows, hidden) buffers, each layer's
+pre-activation and the running activation: one gemm per layer writes every
+row's pre-activation, because a gemm row's bits can depend on the batch it
+is in, and then Mish and the residual sum run `SCORE_BLOCK_ROWS` rows at a
+time, in place, so their temporaries stay a block's size. Element by
+element they are the training forward's operations, so the logits have its
+bits.
 
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by layer name
 (``in.w``, ``res0.b``, ...). Freezing operates on those names, which is how
@@ -22,8 +28,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import (N_CLASSES, N_FEATURES, CheckpointError, FeatureNormalizer, check_config,
-                   checkpoint_arrays)
+from .data import (N_CLASSES, N_FEATURES, SCORE_BLOCK_ROWS, CheckpointError, FeatureNormalizer,
+                   check_config, checkpoint_arrays)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -128,23 +134,38 @@ def dnn_forward(params: dict[str, np.ndarray], x: np.ndarray, config: DnnConfig,
     Given a ``cache`` dict (training), records for backprop each Mish
     layer's input, pre-activation z, softplus(z) and tanh(softplus(z)) under
     the layer's name, and the last hidden state under ``h_out``. Without one
-    (scoring), only the running activation is held.
+    (scoring), only the pre-activation and the running activation are held,
+    and Mish runs a block of rows at a time (module doc).
     """
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if cache is None:
+        return _scoring_forward(params, h, config)
     for name in _mish_layers(config):
         z = h @ params[f"{name}.w"] + params[f"{name}.b"]
-        if cache is None:
-            a = mish(z)
-        else:
-            sp = softplus(z)
-            t = np.tanh(sp)
-            cache[name] = (h, z, sp, t)
-            a = z * t
+        sp = softplus(z)
+        t = np.tanh(sp)
+        cache[name] = (h, z, sp, t)
+        a = z * t
         if name != "in":
             a += h  # the residual sum, written into the fresh activation
         h = a
-    if cache is not None:
-        cache["h_out"] = h
+    cache["h_out"] = h
+    return h @ params["out.w"] + params["out.b"]
+
+
+def _scoring_forward(params, x: np.ndarray, config: DnnConfig) -> np.ndarray:
+    """`dnn_forward` without a cache, Mish a block of rows at a time."""
+    z = np.empty((x.shape[0], config.hidden))
+    h = np.empty_like(z)
+    for name in _mish_layers(config):
+        np.matmul(x if name == "in" else h, params[f"{name}.w"], out=z)
+        z += params[f"{name}.b"]
+        for lo in range(0, len(z), SCORE_BLOCK_ROWS):
+            rows = slice(lo, lo + SCORE_BLOCK_ROWS)
+            if name == "in":
+                h[rows] = mish(z[rows])
+            else:
+                h[rows] += mish(z[rows])  # the residual sum
     return h @ params["out.w"] + params["out.b"]
 
 

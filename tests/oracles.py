@@ -43,6 +43,8 @@ counts behind the rates.
 `full_sort_knn_scores` is the kNN vote before its shortlist: one
 (queries, references, features) difference, its squares summed over the
 last axis and a stable argsort of every distance row.
+`broadcast_gnb_log_posteriors` is GNB's scoring before its row blocks: one
+(queries, classes, features) difference for all queries at once.
 
 `logaddexp_mish` and `logaddexp_mish_grad` form softplus with
 `np.logaddexp`, which numpy evaluates through scalar libm calls; the
@@ -454,7 +456,8 @@ def pairwise_auc(scores, positive) -> float:
 
 def loop_binary_roc(scores, positive):
     """(fpr, tpr, auc) of the threshold sweep, one tie group at a time, with
-    the exact numerator 2 * P * N * area in Python integers."""
+    the exact numerator 2 * P * N * area in Python integers, after a stable
+    sort (the package's sort need not be)."""
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
     n_pos = int(positive.sum())
@@ -616,6 +619,18 @@ def central_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
         xm.ravel()[i] -= step
         flat[i] = (f(xp) - f(xm)) / (2.0 * step)
     return grad
+
+
+def broadcast_gnb_log_posteriors(model, x) -> np.ndarray:
+    """GNB's unnormalized log posteriors of all rows in one broadcast
+    expression over a (rows, classes, features) difference: the form that
+    the package's blocks of rows must match bit for bit."""
+    z = model.normalizer.transform(x)
+    diff = z[:, None, :] - model.means[None, :, :]
+    log_density = -0.5 * (
+        np.log(2.0 * np.pi * model.variances)[None, :, :] + diff**2 / model.variances[None, :, :]
+    ).sum(axis=2)
+    return np.log(model.priors)[None, :] + log_density
 
 
 def gnb_posteriors_direct(priors, means, variances, x) -> np.ndarray:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_sort_knn_scores, gnb_posteriors_direct, identity_normalizer
+from oracles import (broadcast_gnb_log_posteriors, full_sort_knn_scores, gnb_posteriors_direct,
+                     identity_normalizer)
 from rows import rows
-from qpose.baselines import _QUERY_CHUNK, GnbModel, KnnModel
-from qpose.data import FeatureNormalizer, N_CLASSES, N_FEATURES
+from qpose.baselines import GnbModel, KnnModel
+from qpose.data import SCORE_BLOCK_ROWS, FeatureNormalizer, N_CLASSES, N_FEATURES
 
 
 def embed(points_2d, labels):
@@ -72,7 +73,7 @@ class TestKnn:
 
     @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 40),
            k_pick=st.sampled_from(["one", "all", "any"]),
-           n_query=st.sampled_from([1, 9, _QUERY_CHUNK, _QUERY_CHUNK + 57]),
+           n_query=st.sampled_from([1, 9, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 57]),
            scale=st.sampled_from([1.0, 1e100, 1e150, 1e153, 1e154, 1e-160, 1e-162]),
            rounded=st.booleans(), duplicates=st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -117,7 +118,7 @@ class TestKnn:
         x = np.tile(rng.normal(size=(1, N_FEATURES)), (400, 1))
         y = rng.integers(0, N_CLASSES, 400)
         m = KnnModel.fit(rows(x, y), identity_normalizer(), k=5)
-        queries = rng.normal(size=(_QUERY_CHUNK, N_FEATURES))
+        queries = rng.normal(size=(SCORE_BLOCK_ROWS, N_FEATURES))
         tracemalloc.start()
         try:
             scores = m.predict_proba(queries)
@@ -125,7 +126,7 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert np.array_equal(scores, full_sort_knn_scores(x, y, 5, queries))
-        assert peak < 8 * _QUERY_CHUNK * 400 * N_FEATURES
+        assert peak < 8 * SCORE_BLOCK_ROWS * 400 * N_FEATURES
 
     def test_duplicate_set_vote_scaling(self):
         rng = np.random.default_rng(1)
@@ -230,6 +231,33 @@ class TestGnb:
         want = np.stack([gnb_posteriors_direct(m.priors, m.means, m.variances, q)
                          for q in queries])
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_blocked_log_posteriors_equal_the_one_shot_broadcast(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(0, 2, size=(64, N_FEATURES))
+        m = gnb_from_arrays(x, np.tile(np.arange(N_CLASSES), 8))
+        queries = rng.normal(0, 3, size=(4001, N_FEATURES))
+        for n_rows in (1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 777, 4001):
+            got = m.log_posteriors(queries[:n_rows])
+            want = broadcast_gnb_log_posteriors(m, queries[:n_rows])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), n_rows
+
+    def test_scoring_peak_is_bounded_by_a_block(self):
+        rng = np.random.default_rng(11)
+        m = gnb_from_arrays(rng.normal(size=(64, N_FEATURES)), np.tile(np.arange(N_CLASSES), 8))
+        x = rng.normal(size=(4000, N_FEATURES))
+        m.predict_proba(x[:10])
+        tracemalloc.start()
+        try:
+            m.predict_proba(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the normalized input (4000 x 36), the (4000, 8) log posteriors and
+        # at most four (block, 8, 36) temporaries: about 40% of the one
+        # (4000, 8, 36) difference the whole batch at once would make
+        block = SCORE_BLOCK_ROWS * N_CLASSES * N_FEATURES
+        assert peak <= (4000 * (N_FEATURES + N_CLASSES) + 4 * block) * 8, peak
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

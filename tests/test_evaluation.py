@@ -164,6 +164,31 @@ class TestBinaryRoc:
     def test_vertices_trace_the_full_curve(self, n, grid, seed, pos_rate):
         assert_vertex_curve(*tie_heavy(n, grid, seed, pos_rate))
 
+    @pytest.mark.parametrize("n", [4000, 32000])
+    @pytest.mark.parametrize("case", ["all equal", "knn votes", "signed zeros", "one positive"])
+    def test_unstable_sort_equals_the_stable_loop_oracle(self, case, n):
+        # binary_roc's default argsort reorders each tie group; the loop
+        # oracle sorts stably, and every count, rate and the AUC must agree
+        rng = np.random.default_rng(n)
+        positive = rng.random(n) < 0.3
+        positive[:2] = [True, False]
+        if case == "all equal":
+            scores = np.full(n, 0.5)
+        elif case == "knn votes":  # k = 5 vote fractions
+            scores = rng.integers(0, 6, n) / 5
+        elif case == "signed zeros":
+            scores = rng.choice([-0.0, 0.0, 0.25, -0.25], n)
+        else:
+            scores = rng.integers(0, 6, n) / 5
+            positive[:] = False
+            positive[n // 2] = True
+        got = binary_roc(scores, positive)
+        fpr, tpr, auc = loop_binary_roc(scores, positive)
+        n_pos = int(positive.sum())
+        fpr, tpr = roc_vertices(fpr, tpr, n - n_pos, n_pos)
+        assert np.array_equal(got.fpr, fpr) and np.array_equal(got.tpr, tpr)
+        assert got.auc == auc
+
     def test_all_tied_scores_give_two_vertices(self):
         roc = assert_vertex_curve(np.full(10, 0.5), np.array([1, 0] * 5, dtype=bool))
         assert roc.fpr.tolist() == roc.tpr.tolist() == [0.0, 1.0]

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (central_difference, identity_normalizer, logaddexp_mish,
                      logaddexp_mish_grad, mish_grad)
+from qpose.data import SCORE_BLOCK_ROWS
 from qpose.neural import (
     AdamW,
     DnnConfig,
@@ -193,12 +194,15 @@ class TestDnn:
                 gh = gh + gz @ params[f"{name}.w"].T
 
     def test_scoring_forward_equals_training_forward(self):
+        # the training forward runs every layer on the whole batch at once:
+        # the unblocked oracle of the scoring forward's Mish blocks
         cfg = DnnConfig()
         params = dnn_init(cfg, seed=14)
-        x = np.random.default_rng(15).normal(0.0, 20.0, size=(1001, 36))
-        scored = dnn_forward(params, x, cfg)
-        trained = dnn_forward(params, x, cfg, {})
-        assert scored.tobytes() == trained.tobytes()
+        x = np.random.default_rng(15).normal(0.0, 20.0, size=(4001, 36))
+        for n_rows in (1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 777, 4001):
+            scored = dnn_forward(params, x[:n_rows], cfg)
+            trained = dnn_forward(params, x[:n_rows], cfg, {})
+            assert np.array_equal(scored.view(np.int64), trained.view(np.int64)), n_rows
 
     def test_scoring_keeps_no_per_layer_cache(self):
         m = DnnModel.create(identity_normalizer(), seed=16)
@@ -210,8 +214,10 @@ class TestDnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at most six 4000 x 100 float64 arrays alive at once
-        assert peak <= 6 * 4000 * 100 * 8, peak
+        # the pre-activation and activation buffers (4000 x 100), the
+        # normalized input (4000 x 36) and at most eight Mish temporaries of
+        # one block of rows
+        assert peak <= (2 * 4000 * 100 + 4000 * 36 + 8 * SCORE_BLOCK_ROWS * 100) * 8, peak
 
     def test_predict_proba_rows_sum_to_one(self):
         m = DnnModel.create(identity_normalizer(), seed=5)
